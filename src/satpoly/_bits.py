@@ -19,13 +19,21 @@ def table_full(t: int) -> int:
 
 @lru_cache(maxsize=None)
 def table_var(i: int, t: int) -> int:
-    """Table of the projection onto variable i (bit e set iff bit i of e)."""
+    """Table of the projection onto variable i (bit e set iff bit i of e).
+
+    One period is `2**i` zeros then `2**i` ones; it is repeated by doubling
+    (`x |= x << period`), so the build costs O(2**t) bit operations in total.
+    """
     if not 0 <= i < t:
         raise ValueError(f"variable {i} out of range for {t} variables")
     half = 1 << i
-    block = ((1 << half) - 1) << half  # one period: `half` zeros then `half` ones
-    denom = (1 << (2 * half)) - 1
-    return block * (table_full(t) // denom)
+    x = ((1 << half) - 1) << half
+    period = 2 * half
+    width = 1 << t
+    while period < width:
+        x |= x << period
+        period *= 2
+    return x
 
 
 def iter_bits(mask: int):

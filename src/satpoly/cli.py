@@ -68,6 +68,20 @@ def _parse_point(text: str, n: int) -> list[Fraction]:
         raise ParseError(f"bad rational in point: {exc}") from None
 
 
+# the input file each count kind and reduce target reads
+_COUNT_INPUT = {
+    "sat": "formula", "vc": "graph", "is": "graph", "antichains": "poset", "ideals": "poset",
+}
+_REDUCE_INPUT = {
+    "perm-to-vc": "matrix", "vc-to-2sat": "graph", "is-to-2sat": "graph", "ideal-to-2sat": "poset",
+}
+
+
+def _require_input(args, option: str, what: str) -> None:
+    if getattr(args, option) is None:
+        raise ParseError(f"{what} needs --{option}")
+
+
 def _width2_json(c) -> dict:
     kind = c[0]
     return {"kind": kind, "vars": [i + 1 for i in c[1:]]}
@@ -146,6 +160,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_count(args) -> int:
     kind = args.kind
+    _require_input(args, _COUNT_INPUT[kind], f"count {kind}")
     if kind == "sat":
         f = _load_formula(args)
         _emit({"kind": "sat", "count": str(count_sat(f))})
@@ -177,6 +192,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _require_input(args, _REDUCE_INPUT[args.target], f"reduce {args.target}")
     if args.target == "perm-to-vc":
         matrix = parse_matrix_file(_read(args.matrix))
         inst = emit_instance(matrix, bipartite=args.bipartite)

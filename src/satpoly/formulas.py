@@ -201,26 +201,27 @@ _INT64_SAFE = 1 << 62
 def _fold_table(table: int, weights: list[tuple[int, int]]) -> int:
     """Sum over assignments e of table[e] * prod(p_i if bit else q_i).
 
-    Folds out one variable per pass.  Values stay within
-    prod(|p_i| + q_i), so the vectorized int64 path is exact whenever that
-    bound fits; otherwise plain Python integers take over.
+    Folds out one variable per pass, lowest first.  After the first k passes
+    every entry lies within prod(|p_i| + q_i) over those k weights, so the
+    passes run in vectorized int64 while that running bound fits; the
+    2**(m-k) entries left then finish in Python integers.
     """
     m = len(weights)
     nbytes = max(1, ((1 << m) + 7) >> 3)
-    arr = np.unpackbits(
+    a = np.unpackbits(
         np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
         bitorder="little",
-    )[: 1 << m]
+    )[: 1 << m].astype(np.int64)
     bound = 1
+    k = 0
     for p, q in weights:
         bound *= abs(p) + q
-    if bound < _INT64_SAFE:
-        a = arr.astype(np.int64)
-        for p, q in weights:
-            a = a[0::2] * q + a[1::2] * p
-        return int(a[0])
-    vals = [int(b) for b in arr]
-    for p, q in weights:
+        if bound >= _INT64_SAFE:
+            break
+        a = a[0::2] * q + a[1::2] * p
+        k += 1
+    vals = a.tolist()
+    for p, q in weights[k:]:
         vals = [lo * q + hi * p for lo, hi in zip(vals[0::2], vals[1::2])]
     return vals[0]
 

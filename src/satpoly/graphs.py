@@ -419,6 +419,14 @@ def format_weight(w: Weight) -> str:
     return str(w)
 
 
+def parse_ints(tokens, lineno: int) -> list[int]:
+    """Decimal integers of one input line; a bad token is a ParseError."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {' '.join(tokens)!r}") from None
+
+
 def parse_graph_file(text: str) -> WeightedGraph:
     n = m = None
     vertices: dict[int, Weight] = {}
@@ -431,18 +439,18 @@ def parse_graph_file(text: str) -> WeightedGraph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "graph":
                 raise ParseError(f"line {lineno}: expected 'p graph <n> <m>'")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = parse_ints(parts[2:], lineno)
         elif parts[0] == "v":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'v <id> <weight>'")
-            vid = int(parts[1])
+            (vid,) = parse_ints(parts[1:2], lineno)
             if vid in vertices:
                 raise ParseError(f"line {lineno}: duplicate vertex {vid}")
             vertices[vid] = parse_weight(parts[2])
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append(tuple(parse_ints(parts[1:], lineno)))
         elif parts[0] in ("modulus", "provenance"):
             break  # trailer lines belong to reduction instances
         else:

@@ -17,7 +17,8 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
+
 from ._bits import table_full, table_var
 from .errors import BoundExceeded
 from .formulas import Constraint, Formula
@@ -90,12 +91,22 @@ def search_implementation(
     max_constraints: int = 4,
     max_vars: int = 10,
 ) -> Implementation | NotFound:
-    """Exhaustive search in canonical order; first valid candidate wins.
+    """Search in canonical order; the first valid candidate wins.
 
-    Candidates are constraint multisets over the available relations and
-    all argument tuples, enumerated by auxiliary count, then size, then
-    lexicographic order on (relation index, argument tuple).  Tables over
-    the combined variables make each candidate check a few popcounts.
+    The canonical order runs over constraint multisets built from the
+    available relations and all argument tuples, by auxiliary count, then
+    size, then lexicographic order on the atom list (relation index, then
+    argument tuple).  Tables over the combined variables make each candidate
+    check a few popcounts.
+
+    Three facts shrink the space without changing the winner.  Atoms with
+    equal tables are interchangeable, and conjunction is idempotent, so
+    mapping each atom of a valid multiset to the first atom with its table
+    and dropping repeats gives a valid candidate that is no later in the
+    order; the first valid candidate is therefore a set of such first
+    representatives, and only those sets are searched.  Adding a constraint
+    only clears table bits, so a prefix that leaves some accepted input
+    without an extension is dropped with every candidate it starts.
     """
     k = target.rank
     accepted_codes = {_pack(t) for t in target.accepted}
@@ -105,7 +116,7 @@ def search_implementation(
             break
         full = table_full(t)
         bases = [table_var(i, t) for i in range(t)]
-        atoms: list[tuple[Constraint, int]] = []
+        first_atom: dict[int, Constraint] = {}  # table -> first atom with it
         for rel in using:
             for args in product(range(t), repeat=rel.rank):
                 table = 0
@@ -116,25 +127,56 @@ def search_implementation(
                         if not m:
                             break
                     table |= m
-                atoms.append(((rel, args), table))
+                first_atom.setdefault(table, (rel, args))
+        tables = list(first_atom)
+        atoms = list(first_atom.values())
         # selector for the extensions of each function-variable assignment
         comb = sum(1 << ((y << k)) for y in range(1 << q))
         selectors = [comb << x for x in range(1 << k)]
         wanted = [(1 if x in accepted_codes else 0) for x in range(1 << k)]
         for size in range(1, max_constraints + 1):
-            for combo in combinations_with_replacement(range(len(atoms)), size):
-                table = full
-                for idx in combo:
-                    table &= atoms[idx][1]
-                ok = True
-                for x in range(1 << k):
-                    if (table & selectors[x]).bit_count() != wanted[x]:
-                        ok = False
-                        break
-                if ok:
-                    cons = tuple(atoms[idx][0] for idx in combo)
-                    return Implementation(target, Formula(t, cons), q)
+            combo = _first_combination(tables, size, full, selectors, wanted)
+            if combo is not None:
+                cons = tuple(atoms[idx] for idx in combo)
+                return Implementation(target, Formula(t, cons), q)
     return NotFound(target.name, max_aux, max_constraints)
+
+
+def _first_combination(
+    tables: list[int],
+    size: int,
+    full: int,
+    selectors: list[int],
+    wanted: list[int],
+) -> list[int] | None:
+    """Lexicographically first size-subset of table indices whose AND is valid.
+
+    Valid means popcount(AND & selectors[x]) == wanted[x] for every x.  The
+    depth-first walk keeps the AND of each prefix and drops a prefix as soon
+    as it clears every bit under the selector of some x with wanted[x] == 1.
+    """
+    live = [s for s, w in zip(selectors, wanted) if w]
+    n = len(tables)
+    combo: list[int] = []
+    prefix = [full]  # prefix[d] is the AND of the first d chosen tables
+    i = 0
+    while True:
+        d = len(combo)
+        if d == size:
+            table = prefix[d]
+            if all((table & s).bit_count() == w for s, w in zip(selectors, wanted)):
+                return combo
+        elif i <= n - (size - d):
+            table = prefix[d] & tables[i]
+            if all(table & s for s in live):
+                combo.append(i)
+                prefix.append(table)
+            i += 1
+            continue
+        if not combo:
+            return None
+        i = combo.pop() + 1
+        prefix.pop()
 
 
 def _pack(t) -> int:

@@ -25,6 +25,7 @@ from .graphs import (
     WeightedGraph,
     _weight_parts,
     format_weight,
+    parse_ints,
     parse_weight,
     two_coloring,
 )
@@ -278,18 +279,18 @@ def parse_poset_file(text: str) -> Poset:
         if parts[0] == "p":
             if len(parts) != 3 or parts[1] != "poset":
                 raise ParseError(f"line {lineno}: expected 'p poset <n>'")
-            n = int(parts[2])
+            (n,) = parse_ints(parts[2:], lineno)
         elif parts[0] == "v":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'v <id> <weight>'")
-            vid = int(parts[1])
+            (vid,) = parse_ints(parts[1:2], lineno)
             if vid in elements:
                 raise ParseError(f"line {lineno}: duplicate element {vid}")
             elements[vid] = parse_weight(parts[2])
         elif parts[0] == "r":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'r <i> <j>'")
-            relations.append((int(parts[1]), int(parts[2])))
+            relations.append(tuple(parse_ints(parts[1:], lineno)))
         else:
             raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:

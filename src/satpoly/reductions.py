@@ -36,6 +36,7 @@ from .graphs import (
     WeightedGraph,
     bipartize,
     build_partial_perm_graph,
+    parse_ints,
     two_coloring,
 )
 from .posets import Poset, or1_formula_of_poset
@@ -526,24 +527,35 @@ def parse_instance_file(text: str) -> ReductionInstance:
             continue
         parts = line.split()
         if parts[0] == "p":
-            n = int(parts[2])
+            if len(parts) != 4 or parts[1] != "graph":
+                raise ParseError(f"line {lineno}: expected 'p graph <n> <m>'")
+            n = parse_ints(parts[2:], lineno)[0]
         elif parts[0] == "v":
-            vertices.add(int(parts[1]))
+            if len(parts) < 2:
+                raise ParseError(f"line {lineno}: expected 'v <id>'")
+            vertices.add(parse_ints(parts[1:2], lineno)[0])
         elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
+            u, v = parse_ints(parts[1:], lineno)
             if u == v:
                 loops.add(u)
             else:
                 edges.append((u, v))
         elif parts[0] == "modulus":
-            modulus = int(parts[1])
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'modulus <N>'")
+            modulus = parse_ints(parts[1:], lineno)[0]
         else:
             raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None or modulus is None:
         raise ParseError("instance needs a 'p graph' header and a 'modulus' line")
     if len(vertices) != n:
         raise ParseError(f"header declares {n} vertices, found {len(vertices)}")
-    return ReductionInstance(UnweightedGraph(vertices, edges, loops), modulus, provenance)
+    try:
+        return ReductionInstance(UnweightedGraph(vertices, edges, loops), modulus, provenance)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_matrix_file(text: str) -> list[list[int]]:
@@ -558,4 +570,7 @@ def parse_matrix_file(text: str) -> list[list[int]]:
             raise ParseError(f"bad matrix row {line!r}") from None
     if not rows:
         raise ParseError("empty matrix")
-    return rows
+    try:
+        return _check_01_matrix(rows)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

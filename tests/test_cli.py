@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import satpoly.cli as cli
 
 
@@ -257,3 +259,61 @@ def test_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all", fake_run_all_fail)
     code, out = run_cli(capsys, "verify")
     assert code == 4 and json.loads(out)["passed"] is False
+
+
+def run_cli_err(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, option, text",
+    [
+        ("vc", "--graph", "p graph x 1\n"),
+        ("vc", "--graph", "p graph 1 0\nv one 1\n"),
+        ("is", "--graph", "p graph 2 1\nv 1 1\nv 2 1\ne 1 b\n"),
+        ("ideals", "--poset", "p poset two\n"),
+        ("antichains", "--poset", "p poset 2\nv 1 1\nv 2 1\nr 1 x\n"),
+    ],
+    ids=["graph-header", "graph-vertex", "graph-edge", "poset-header", "poset-relation"],
+)
+def test_bad_integer_in_input_file_exits_2(tmp_path, capsys, kind, option, text):
+    path = write(tmp_path, "in.txt", text)
+    assert_one_line_exit_2(*run_cli_err(capsys, "count", kind, option, path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 1\n", "1 0\n1\n", "2 0\n0 1\n", "1 -1\n0 1\n"],
+    ids=["one-row", "ragged", "entry-2", "entry-minus-1"],
+)
+def test_reduce_rejects_bad_matrix_with_exit_2(tmp_path, capsys, text):
+    path = write(tmp_path, "m.txt", text)
+    assert_one_line_exit_2(*run_cli_err(capsys, "reduce", "perm-to-vc", "--matrix", path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "sat"),
+        ("count", "vc"),
+        ("count", "is"),
+        ("count", "ideals"),
+        ("count", "antichains"),
+        ("reduce", "perm-to-vc"),
+        ("reduce", "vc-to-2sat"),
+        ("reduce", "ideal-to-2sat"),
+    ],
+    ids="-".join,
+)
+def test_missing_input_option_exits_2(capsys, argv):
+    code, out, err = run_cli_err(capsys, *argv)
+    assert_one_line_exit_2(code, out, err)
+    assert "needs --" in err

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from satpoly.errors import BoundExceeded, ParseError
+from satpoly import formulas as formulas_mod
 from satpoly.formulas import (
+    _INT64_SAFE,
     Formula,
+    _fold_table,
     count_sat,
     eval_assignment,
     eval_formula_poly,
@@ -14,6 +18,7 @@ from satpoly.formulas import (
     parse_formula_file,
     poly_of_formula,
 )
+from satpoly._bits import iter_bits
 from satpoly.graphs import or2_formula_partial_perm
 from satpoly.polynomial import MultilinearPoly
 from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file
@@ -110,6 +115,74 @@ def test_backtracking_path_above_table_limit():
     f = Formula(23, cons)
     assert count_sat(f) == fib[23]
     assert count_sat(Formula(24, ())) == 1 << 24
+
+
+def python_fold(table, weights):
+    """Reference for _fold_table: one Python-int product per set bit."""
+    total = 0
+    for e in iter_bits(table):
+        prod = 1
+        for i, (p, q) in enumerate(weights):
+            prod *= p if e >> i & 1 else q
+        total += prod
+    return total
+
+
+def fold_bound_passes(weights):
+    """How many leading passes keep the running bound below _INT64_SAFE."""
+    bound = 1
+    for k, (p, q) in enumerate(weights):
+        bound *= abs(p) + q
+        if bound >= _INT64_SAFE:
+            return k
+    return len(weights)
+
+
+FOLD_CASES = {
+    # name: (weights, passes folded in int64)
+    "never-crosses": ([(3, 2), (-5, 7), (1, 1), (0, 4), (-1, 3)], 5),
+    "crosses-first": ([(1 << 62, 1), (2, 3), (-1, 1)], 0),
+    "crosses-middle": ([(1 << 32, 1), (-(1 << 31), 3), (7, 2), (5, 1)], 1),
+    "crosses-last": ([(1 << 20, 1), (1 << 20, 1), (-(1 << 22), 1)], 2),
+    "bound-just-below": ([(1 << 61, (1 << 61) - 1), (1, 1)], 1),
+    "bound-exactly-safe": ([(1 << 61, 1 << 61), (1, 1)], 0),
+    "six-digit": ([(-987654, 123457), (654321, 999983), (-1, 999999), (314159, 2)], 3),
+    "zero-numerators": ([(0, 1 << 40), (0, 1 << 40), (0, 5)], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_fold_table_matches_python_fold(name):
+    weights, passes = FOLD_CASES[name]
+    assert fold_bound_passes(weights) == passes
+    m = len(weights)
+    full = (1 << (1 << m)) - 1
+    for table in (0, full, 1, 1 << ((1 << m) - 1), 0b1011_0110_1001_1101 & full):
+        assert _fold_table(table, weights) == python_fold(table, weights)
+
+
+weights_st = st.tuples(
+    st.one_of(st.integers(-9, 9), st.integers(-(1 << 40), 1 << 40)),
+    st.one_of(st.integers(1, 9), st.integers(1, 1 << 40)),
+)
+
+
+@given(st.lists(weights_st, min_size=1, max_size=8), st.data())
+def test_fold_table_random(weights, data):
+    table = data.draw(st.integers(0, (1 << (1 << len(weights))) - 1))
+    assert _fold_table(table, weights) == python_fold(table, weights)
+
+
+six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
+
+
+@given(formulas(max_vars=12), st.data())
+def test_table_and_dfs_paths_agree_at_six_digit_points(f, data):
+    point = [data.draw(six_digit) for _ in range(f.num_vars)]
+    table_value = eval_formula_poly(f, point)
+    with mock.patch.object(formulas_mod, "_TABLE_VARS", 0):
+        dfs_value = eval_formula_poly(f, point)
+    assert table_value == dfs_value
 
 
 FORMULA_FILE = """\

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satpoly.formulas import Formula, eval_formula_poly, poly_of_formula
+from satpoly._bits import table_full, table_var
+from satpoly.formulas import Formula, eval_formula_poly, format_formula_file, poly_of_formula
 from satpoly.implement import (
     Implementation,
     NotFound,
@@ -66,6 +68,84 @@ def test_search_not_found_for_affine_blocks():
     result = search_implementation(B["OR0"], [B["EQ"]])
     assert isinstance(result, NotFound)
     assert result.target == "OR0"
+
+
+XOR3_0 = relation("xor3_0", 3, [t for t in product((0, 1), repeat=3) if sum(t) % 2 == 0])
+BLOCK_SETS = {
+    "CLAUSE3+F": [B["CLAUSE3"], B["F"]],
+    "xor3_0+T": [XOR3_0, B["T"]],
+    "OR0+NE": [B["OR0"], B["NE"]],
+    "OR1+OR2": [B["OR1"], B["OR2"]],
+    "EQ": [B["EQ"]],
+}
+TARGETS = ("OR0", "OR1", "OR2", "NE", "EQ", "CLAUSE3")
+
+
+def exhaustive_search(target, using, max_aux, max_constraints, max_vars=10):
+    """The earlier search: every constraint multiset in canonical order, no pruning."""
+    k = target.rank
+    accepted_codes = {sum(b << i for i, b in enumerate(t)) for t in target.accepted}
+    for q in range(0, max_aux + 1):
+        t = k + q
+        if t > max_vars:
+            break
+        full = table_full(t)
+        bases = [table_var(i, t) for i in range(t)]
+        atoms = []
+        for rel in using:
+            for args in product(range(t), repeat=rel.rank):
+                table = 0
+                for tup in rel.accepted:
+                    m = full
+                    for bit, a in zip(tup, args):
+                        m &= bases[a] if bit else ~bases[a] & full
+                    table |= m
+                atoms.append(((rel, args), table))
+        comb = sum(1 << (y << k) for y in range(1 << q))
+        for size in range(1, max_constraints + 1):
+            for combo in combinations_with_replacement(range(len(atoms)), size):
+                table = full
+                for idx in combo:
+                    table &= atoms[idx][1]
+                if all(
+                    (table & (comb << x)).bit_count() == (x in accepted_codes)
+                    for x in range(1 << k)
+                ):
+                    cons = tuple(atoms[idx][0] for idx in combo)
+                    return Implementation(target, Formula(t, cons), q)
+    return NotFound(target.name, max_aux, max_constraints)
+
+
+@pytest.mark.parametrize("bounds", [(1, 3), (2, 3)], ids=["aux1-size3", "aux2-size3"])
+@pytest.mark.parametrize("blocks", sorted(BLOCK_SETS))
+def test_search_matches_exhaustive_search(blocks, bounds):
+    for name in TARGETS:
+        expected = exhaustive_search(B[name], BLOCK_SETS[blocks], *bounds)
+        assert search_implementation(B[name], BLOCK_SETS[blocks], *bounds) == expected
+
+
+@pytest.mark.parametrize(
+    "target, blocks, num_aux, text",
+    [
+        ("OR0", "CLAUSE3+F", 0, "p csp 2 1\nCLAUSE3 1 1 2\n"),
+        ("OR2", "OR0+NE", 2, "p csp 4 3\nOR0 3 4\nNE 1 3\nNE 2 4\n"),
+        ("NE", "xor3_0+T", 1, "p csp 3 2\nxor3_0 1 2 3\nT 3\n"),
+        ("EQ", "xor3_0+T", 1, "p csp 3 2\nxor3_0 1 1 3\nxor3_0 1 2 3\n"),
+        ("EQ", "OR0+NE", 1, "p csp 3 2\nNE 1 3\nNE 2 3\n"),
+        ("EQ", "OR1+OR2", 0, "p csp 2 2\nOR1 1 2\nOR1 2 1\n"),
+    ],
+)
+def test_search_golden_gadgets(target, blocks, num_aux, text):
+    found = search_implementation(B[target], BLOCK_SETS[blocks])
+    assert isinstance(found, Implementation)
+    assert found.num_aux == num_aux
+    assert format_formula_file(found.constraints) == text
+    assert check_perfect_faithful(found)
+
+
+@pytest.mark.parametrize("target", ["OR1", "OR2"])
+def test_search_not_found_from_clause3_at_default_bounds(target):
+    assert search_implementation(B[target], BLOCK_SETS["CLAUSE3+F"]) == NotFound(target, 3, 4)
 
 
 def test_substitute_example():
