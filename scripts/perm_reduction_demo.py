@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Walk a random 0/1 matrix through the permanent -> vertex-cover reduction.
 
-Prints each gadget stage with its sizes, then counts the covers of the
-final unweighted instance and recovers the permanent modulo N.
+Prints each gadget stage with the sizes recorded in the instance's
+provenance, then counts the covers of the final unweighted instance and
+recovers the permanent modulo N.
 """
 
 import argparse
@@ -10,13 +11,7 @@ import random
 import time
 
 from satpoly.graphs import permanent
-from satpoly.reductions import (
-    count_vertex_covers,
-    eliminate_zero_weights,
-    emit_instance,
-    partial_perm_to_vc,
-    perm_to_partial_perm,
-)
+from satpoly.reductions import count_vertex_covers, emit_instance
 
 
 def main() -> None:
@@ -32,14 +27,10 @@ def main() -> None:
     for row in a:
         print("   ", row)
 
-    block = perm_to_partial_perm(a)
-    print(f"block gadget: {len(block)}x{len(block)} with entries in {{0,1,-1}}")
-    weighted = partial_perm_to_vc(block)
-    print(f"weighted cover instance: {len(weighted.vertices)} vertices, {weighted.edge_count()} edges")
-    core = eliminate_zero_weights(weighted)
-    print(f"after zero elimination: {len(core.vertices)} vertices, {len(core.loops())} loops")
-
     inst = emit_instance(a, bipartite=args.bipartite)
+    for step in inst.provenance["steps"]:
+        sizes = ", ".join(f"{k} {v}" for k, v in step.items() if k != "step")
+        print(f"{step['step']}: {sizes}")
     print(
         f"final instance: {inst.graph.vertex_count()} vertices "
         f"({sum(inst.graph.leaf_counts.values())} in leaf blocks), "

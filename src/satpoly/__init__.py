@@ -64,7 +64,6 @@ from .reductions import (
     perm_to_partial_perm,
     perm_via_vc,
     simulate_neg_weights,
-    to_bipartite_vc,
     vc_to_positive2sat,
 )
 from .relations import (

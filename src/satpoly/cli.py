@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
 
 from ._bits import iter_bits
 from .easy_eval import easy_factor, evaluate_factored
@@ -27,10 +26,11 @@ from .formulas import (
     poly_of_formula,
 )
 from .graphs import parse_graph_file
-from .implement import Implementation, check_perfect_faithful, search_implementation
+from .implement import Implementation, certificate, certificate_ok, search_implementation
 from .polynomial import MultilinearPoly, serialize_poly
 from .posets import parse_poset_file
 from .reductions import (
+    UnweightedGraph,
     count_vertex_covers,
     emit_instance,
     format_instance_file,
@@ -166,23 +166,17 @@ def _cmd_count(args) -> int:
         _emit({"kind": "sat", "count": str(count_sat(f))})
         return 0
     if kind in ("vc", "is"):
+        # complementation is a bijection between independent sets and
+        # covers (loops included), so one counter serves both kinds
         g = parse_graph_file(_read(args.graph))
-        if len(g.vertices) <= 20:
-            formula = vc_to_positive2sat(g) if kind == "vc" else is_to_negative2sat(g)
-            n = count_sat(formula)
-        else:
-            # complementation is a bijection between independent sets and
-            # covers (loops included), so one counter serves both kinds
-            from .reductions import UnweightedGraph
-
-            ug = UnweightedGraph(g.vertices, g.plain_edges(), g.loops())
-            n = count_vertex_covers(ug)
+        n = count_vertex_covers(UnweightedGraph(g.vertices, g.plain_edges(), g.loops()))
         _emit({"kind": kind, "count": str(n)})
         return 0
     p = parse_poset_file(_read(args.poset))
     if kind == "ideals":
-        f = ideal_to_implicative2sat(p)
-        _emit({"kind": "ideals", "count": str(count_sat(f))})
+        # the encoder pads an empty poset to one free variable; its one ideal is the empty set
+        n = count_sat(ideal_to_implicative2sat(p)) if p.elements else 1
+        _emit({"kind": "ideals", "count": str(n)})
     else:
         from .posets import Poset, antichain_poly
 
@@ -243,30 +237,9 @@ def _cmd_implement(args) -> int:
         _emit({"found": False, "target": args.target, "bounds": {
             "max_aux": args.max_aux, "max_constraints": args.max_constraints}})
         return 0
-    assert check_perfect_faithful(result)
-    certificate = []
-    k = target.rank
-    q = result.num_aux
-    cons = result.constraints.constraints
-    for x in product((0, 1), repeat=k):
-        extensions = []
-        best_partial = 0
-        for y in product((0, 1), repeat=q):
-            a = x + y
-            sat = sum(
-                1 for rel, argv in cons if tuple(a[i] for i in argv) in rel.accepted
-            )
-            if sat == len(cons):
-                extensions.append("".join(map(str, y)))
-            best_partial = max(best_partial, sat)
-        certificate.append(
-            {
-                "input": "".join(map(str, x)),
-                "accepted": x in target.accepted,
-                "satisfying_extensions": extensions,
-                "max_constraints_satisfied": best_partial,
-            }
-        )
+    rows = certificate(result)
+    if not certificate_ok(rows):
+        raise SatPolyError(f"search returned an invalid implementation of {args.target}")
     _emit(
         {
             "found": True,
@@ -274,7 +247,7 @@ def _cmd_implement(args) -> int:
             "num_aux": result.num_aux,
             "alpha": result.alpha,
             "formula": format_formula_file(result.constraints),
-            "certificate": certificate,
+            "certificate": rows,
         }
     )
     return 0

@@ -47,6 +47,11 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _num_symbols(weights: Iterable[Weight]) -> int:
+    """Number of polynomial variables the weights reach: highest Var index + 1."""
+    return max((w.index + 1 for w in weights if isinstance(w, Var)), default=0)
+
+
 class WeightedGraph:
     """Undirected graph with per-vertex weights; treat instances as immutable."""
 
@@ -83,14 +88,7 @@ class WeightedGraph:
         return len(self.edges)
 
     def num_symbols(self) -> int:
-        top = -1
-        for w in self.vertices.values():
-            if isinstance(w, Var):
-                top = max(top, w.index)
-        return top + 1
-
-    def relabel_parts(self, parts) -> "WeightedGraph":
-        return WeightedGraph(self.vertices, self.edges, parts)
+        return _num_symbols(self.vertices.values())
 
     def __repr__(self):
         return f"WeightedGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"

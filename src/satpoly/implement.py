@@ -22,7 +22,7 @@ from itertools import product
 from ._bits import table_full, table_var
 from .errors import BoundExceeded
 from .formulas import Constraint, Formula
-from .relations import Relation
+from .relations import Relation, _pack
 
 
 @dataclass(frozen=True)
@@ -49,30 +49,47 @@ class Implementation:
 MAX_CHECK_VARS = 24
 
 
-def check_perfect_faithful(impl: Implementation) -> bool:
-    """Exhaustively verify both implementation conditions.
+def certificate(impl: Implementation) -> list[dict]:
+    """Truth-table certificate: one row per function-variable assignment.
 
-    For accepted inputs: exactly one auxiliary assignment satisfies every
-    constraint.  For rejected inputs: no auxiliary assignment satisfies
-    every constraint (equivalently, each satisfies at most alpha-1 of the
-    alpha constraints).
+    Each row holds the input as a bitstring, whether the target accepts it,
+    every auxiliary assignment satisfying all constraints, and the most
+    constraints that any auxiliary assignment satisfies.
     """
     k = impl.target.rank
     q = impl.num_aux
     if k + q > MAX_CHECK_VARS:
         raise BoundExceeded(f"check is limited to {MAX_CHECK_VARS} total variables")
     cons = impl.constraints.constraints
+    rows = []
     for x in product((0, 1), repeat=k):
-        full_sat = 0
+        extensions = []
+        best_partial = 0
         for y in product((0, 1), repeat=q):
             a = x + y
-            if all(tuple(a[i] for i in args) in rel.accepted for rel, args in cons):
-                full_sat += 1
-                if full_sat > 1:
-                    break
-        if full_sat != (1 if x in impl.target.accepted else 0):
-            return False
-    return True
+            sat = sum(1 for rel, args in cons if tuple(a[i] for i in args) in rel.accepted)
+            if sat == len(cons):
+                extensions.append("".join(map(str, y)))
+            best_partial = max(best_partial, sat)
+        rows.append(
+            {
+                "input": "".join(map(str, x)),
+                "accepted": x in impl.target.accepted,
+                "satisfying_extensions": extensions,
+                "max_constraints_satisfied": best_partial,
+            }
+        )
+    return rows
+
+
+def certificate_ok(rows: list[dict]) -> bool:
+    """Validity read off certificate rows: one extension per accepted input, none otherwise."""
+    return all(len(r["satisfying_extensions"]) == r["accepted"] for r in rows)
+
+
+def check_perfect_faithful(impl: Implementation) -> bool:
+    """Exhaustively verify both conditions of the module docstring."""
+    return certificate_ok(certificate(impl))
 
 
 @dataclass(frozen=True)
@@ -177,13 +194,6 @@ def _first_combination(
             return None
         i = combo.pop() + 1
         prefix.pop()
-
-
-def _pack(t) -> int:
-    code = 0
-    for i, b in enumerate(t):
-        code |= b << i
-    return code
 
 
 def substitute(f: Formula, table: dict[Relation, Implementation]) -> Formula:

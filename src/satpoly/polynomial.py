@@ -181,29 +181,6 @@ class MultilinearPoly:
         return "MultilinearPoly(" + " + ".join(bits) + ")"
 
 
-def equal(p: MultilinearPoly, q: MultilinearPoly) -> bool:
-    """Structural equality of canonical term maps."""
-    if p.num_vars != q.num_vars:
-        raise ValueError("polynomials live on different variable counts")
-    return p.terms == q.terms
-
-
-def add(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    return p.add(q)
-
-
-def multiply(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    return p.multiply(q)
-
-
-def scale(p: MultilinearPoly, factor) -> MultilinearPoly:
-    return p.scale(factor)
-
-
-def evaluate(p: MultilinearPoly, point: Sequence) -> Fraction:
-    return p.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # Black-box evaluator transforms
 
@@ -273,10 +250,6 @@ def linear_coefficient(evaluator: Evaluator, num_vars: int, var_index: int) -> E
         return Fraction(evaluator(hi)) - Fraction(evaluator(lo))
 
     return coeff
-
-
-def poly_evaluator(p: MultilinearPoly) -> Evaluator:
-    return p.evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .graphs import (
     Var,
     Weight,
     WeightedGraph,
+    _num_symbols,
     _weight_parts,
     format_weight,
     parse_ints,
@@ -147,7 +148,7 @@ def antichain_poly(p: Poset) -> MultilinearPoly:
         adj[pos[x]] |= 1 << pos[y]
         adj[pos[y]] |= 1 << pos[x]
     weights = [_weight_parts(p.elements[x]) for x in order]
-    top = _num_symbols(p)
+    top = _num_symbols(p.elements.values())
     terms: dict = {}  # mask -> int or Fraction; normalized at construction
     n = len(order)
 
@@ -181,7 +182,7 @@ def ideal_poly(p: Poset) -> MultilinearPoly:
             m |= 1 << pos[a]
         pred_masks.append(m)
     weights = [_weight_parts(p.elements[x]) for x in order]
-    top = _num_symbols(p)
+    top = _num_symbols(p.elements.values())
     terms: dict = {}  # mask -> int or Fraction; normalized at construction
     n = len(order)
 
@@ -200,14 +201,6 @@ def ideal_poly(p: Poset) -> MultilinearPoly:
 
     rec(0, 0, 1, 1, 0)
     return MultilinearPoly(top, terms)
-
-
-def _num_symbols(p: Poset) -> int:
-    top = -1
-    for w in p.elements.values():
-        if isinstance(w, Var):
-            top = max(top, w.index)
-    return top + 1
 
 
 def antichain_ideal_bijection(p: Poset, antichain: Iterable[int]) -> frozenset[int]:

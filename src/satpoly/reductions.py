@@ -21,6 +21,10 @@ sign is left behind).
 
 Leaf blocks are stored compressed (a per-vertex count) so instances stay
 cheap to build; serialization expands them to plain vertices.
+
+`count_vertex_covers` is the one exact cover counter, for pipeline instances
+and for the CLI's `count vc|is` alike.  The 2-clause translations at the end
+are emitted by `reduce` and checked against brute force, not used to count.
 """
 
 from __future__ import annotations
@@ -380,58 +384,27 @@ def emit_instance(matrix, bipartite: bool = False) -> ReductionInstance:
     """Pure instance construction for the permanent; performs no counting."""
     a = _check_01_matrix(matrix)
     n = len(a)
-    block = perm_to_partial_perm(a)
-    weighted = partial_perm_to_vc(block)
+    g = partial_perm_to_vc(perm_to_partial_perm(a))
     steps = [
         {"step": "perm_to_partial_perm", "n": n},
         {"step": "partial_perm_to_vc", "dim": 2 * n},
     ]
+    provenance = {"source_matrix": a, "bipartite": bipartite, "steps": steps, "sign": 1}
     if bipartite:
-        weighted = bipartize(weighted)
-        steps.append({"step": "bipartize", "edges": len(weighted.edges)})
-    no_zeros = eliminate_zero_weights(weighted)
-    steps.append({"step": "eliminate_zero_weights", "vertices": len(no_zeros.vertices)})
-    provenance = {
-        "source_matrix": a,
-        "bipartite": bipartite,
-        "steps": steps,
-        "sign": 1,
-    }
+        g = bipartize(g)
+        steps.append({"step": "bipartize", "edges": len(g.edges)})
+    g = eliminate_zero_weights(g)
+    steps.append({"step": "eliminate_zero_weights", "vertices": len(g.vertices)})
     if bipartite:
-        no_zeros, sign = resolve_forced_loops(no_zeros)
+        g, sign = resolve_forced_loops(g)
         if sign != 1:
             raise SatPolyError("loop resolution produced a sign; not a pipeline instance")
-        steps.append({"step": "resolve_forced_loops", "vertices": len(no_zeros.vertices)})
-        coloring = two_coloring(no_zeros)
+        steps.append({"step": "resolve_forced_loops", "vertices": len(g.vertices)})
+        coloring = two_coloring(g)
         if coloring is None:
             raise SatPolyError("bipartite pipeline produced a non-bipartite core")
         provenance["bipartition"] = sorted(v for v, c in coloring.items() if c == 0)
-    return simulate_neg_weights(no_zeros, provenance)
-
-
-def to_bipartite_vc(weighted: WeightedGraph) -> ReductionInstance:
-    """Bipartite counting instance from a weighted pipeline cover instance.
-
-    The double-incidence step runs before weight elimination (the input
-    must be loop-free); the forced loops that elimination then introduces
-    sit on dedicated -1 vertices and are resolved by deletion, which pairs
-    the signs away and keeps the graph 2-colorable.
-    """
-    g = bipartize(weighted)
-    g = eliminate_zero_weights(g)
-    g, sign = resolve_forced_loops(g)
-    if sign != 1:
-        raise SatPolyError("loop resolution produced a sign; not a pipeline instance")
-    coloring = two_coloring(g)
-    if coloring is None:
-        raise SatPolyError("bipartite pipeline produced a non-bipartite core")
-    prov = {
-        "bipartite": True,
-        "steps": [{"step": "to_bipartite_vc"}],
-        "sign": 1,
-        "bipartition": sorted(v for v, c in coloring.items() if c == 0),
-    }
-    return simulate_neg_weights(g, prov)
+    return simulate_neg_weights(g, provenance)
 
 
 def perm_via_vc(matrix, bipartite: bool = False) -> int:
@@ -459,7 +432,8 @@ def vc_to_positive2sat(g) -> Formula:
     """Positive 2-clauses counting the vertex covers of g.
 
     One OR0 clause per edge; a self-loop becomes the diagonal clause
-    OR0(x, x), a unit clause forcing its vertex into the cover.
+    OR0(x, x), a unit clause forcing its vertex into the cover.  The empty
+    graph gives a padded one-variable formula, whose count is 2, not 1.
     """
     verts, edges, loops = _graph_structure(g)
     pos = {v: i for i, v in enumerate(verts)}
@@ -473,7 +447,8 @@ def is_to_negative2sat(g) -> Formula:
     """Negative 2-clauses counting the independent sets of g.
 
     One OR2 clause per edge; a self-loop becomes the diagonal clause
-    OR2(x, x), forcing its vertex out of every set.
+    OR2(x, x), forcing its vertex out of every set.  The empty graph gives
+    a padded one-variable formula.
     """
     verts, edges, loops = _graph_structure(g)
     pos = {v: i for i, v in enumerate(verts)}
@@ -484,7 +459,7 @@ def is_to_negative2sat(g) -> Formula:
 
 
 def ideal_to_implicative2sat(p: Poset) -> Formula:
-    """Implicative 2-clauses counting the ideals of p."""
+    """Implicative 2-clauses counting the ideals of p (empty p: padded to one variable)."""
     return or1_formula_of_poset(p)
 
 

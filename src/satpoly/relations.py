@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional
@@ -338,8 +337,3 @@ def all_affine_subsets(k: int) -> frozenset[frozenset[BitTuple]]:
             )
             out.add(coset)
     return frozenset(out)
-
-
-def weight_str(x: Fraction) -> str:
-    """Canonical string for an exact rational ("2", "-1", "3/2")."""
-    return str(x)

@@ -1,8 +1,18 @@
 import json
+import random
 
 import pytest
 
 import satpoly.cli as cli
+from satpoly.formulas import Formula, count_sat
+from satpoly.graphs import parse_graph_file
+from satpoly.implement import Implementation
+from satpoly.reductions import (
+    UnweightedGraph,
+    brute_count_vertex_covers,
+    is_to_negative2sat,
+    vc_to_positive2sat,
+)
 
 
 def run_cli(capsys, *argv):
@@ -138,8 +148,8 @@ def test_count_vc_and_is(tmp_path, capsys):
 
 
 def test_count_vc_is_large_graph_path(tmp_path, capsys):
-    # above 20 vertices both kinds route through the branching counter,
-    # which is safe because complementation pairs covers with independent sets
+    # both kinds use the branching cover counter at every size, which is
+    # safe because complementation pairs covers with independent sets
     n = 24
     lines = [f"p graph {n} {n - 1}"]
     lines += [f"v {i} 1" for i in range(1, n + 1)]
@@ -152,6 +162,55 @@ def test_count_vc_is_large_graph_path(tmp_path, capsys):
     _, out_is = run_cli(capsys, "count", "is", "--graph", path)
     assert json.loads(out_vc)["count"] == str(fib[n])
     assert json.loads(out_is)["count"] == str(fib[n])
+
+
+def random_graph_text(rng, n):
+    """Graph file with random edges and loops; the last vertex is isolated."""
+    p = rng.choice([0.1, 0.3, 0.6])
+    edges = [(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < p]
+    loops = [u for u in range(1, n + 1) if rng.random() < 0.15]
+    lines = [f"p graph {n} {len(edges) + len(loops)}"]
+    lines += [f"v {u} 1" for u in range(1, n + 1)]
+    lines += [f"e {u} {v}" for u, v in edges] + [f"e {u} {u}" for u in loops]
+    return "\n".join(lines) + "\n"
+
+
+def test_count_vc_is_matches_2sat_encoding_and_brute_force(tmp_path, capsys):
+    rng = random.Random(2024)
+    for n in range(21):
+        for rep in range(2):
+            text = random_graph_text(rng, n)
+            path = write(tmp_path, f"g{n}_{rep}.txt", text)
+            g = parse_graph_file(text)
+            counts = {}
+            for kind in ("vc", "is"):
+                code, out = run_cli(capsys, "count", kind, "--graph", path)
+                assert code == 0
+                counts[kind] = int(json.loads(out)["count"])
+            if n:  # the encoders pad the empty graph to one free variable
+                assert counts["vc"] == count_sat(vc_to_positive2sat(g))
+                assert counts["is"] == count_sat(is_to_negative2sat(g))
+            if n <= 12:
+                ug = UnweightedGraph(g.vertices, g.plain_edges(), g.loops())
+                assert counts["vc"] == counts["is"] == brute_count_vertex_covers(ug)
+
+
+@pytest.mark.parametrize(
+    "kind, option, text",
+    [
+        ("vc", "--graph", "p graph 0 0\n"),
+        ("is", "--graph", "p graph 0 0\n"),
+        ("ideals", "--poset", "p poset 0\n"),
+        ("antichains", "--poset", "p poset 0\n"),
+    ],
+    ids=["vc", "is", "ideals", "antichains"],
+)
+def test_count_empty_input_is_one(tmp_path, capsys, kind, option, text):
+    # the empty set is the one cover, independent set, ideal and antichain
+    path = write(tmp_path, "empty.txt", text)
+    code, out = run_cli(capsys, "count", kind, option, path)
+    assert code == 0
+    assert json.loads(out)["count"] == "1"
 
 
 POSET = """\
@@ -216,6 +275,54 @@ def test_implement_search(tmp_path, capsys):
     assert all(
         c["max_constraints_satisfied"] <= payload["alpha"] - 1 for c in rejected
     )
+
+
+# full `implement` output at default bounds, recorded before the CLI took
+# its certificate from implement.certificate
+IMPLEMENT_GOLDEN = [
+    (
+        "OR0",
+        "relation clause3 3\n001\n010\n011\n100\n101\n110\n111\nend\n"
+        "relation zero 1\n0\nend\n",
+        '{"alpha":1,"certificate":[{"accepted":false,"input":"00","max_constraints_satisfied":0,'
+        '"satisfying_extensions":[]},{"accepted":true,"input":"01","max_constraints_satisfied":1,'
+        '"satisfying_extensions":[""]},{"accepted":true,"input":"10","max_constraints_satisfied":1,'
+        '"satisfying_extensions":[""]},{"accepted":true,"input":"11","max_constraints_satisfied":1,'
+        '"satisfying_extensions":[""]}],"format":1,"formula":"p csp 2 1\\nclause3 1 1 2\\n",'
+        '"found":true,"num_aux":0,"target":"OR0"}\n',
+    ),
+    (
+        "OR2",
+        "relation or0 2\n01\n10\n11\nend\nrelation ne 2\n01\n10\nend\n",
+        '{"alpha":3,"certificate":[{"accepted":true,"input":"00","max_constraints_satisfied":3,'
+        '"satisfying_extensions":["11"]},{"accepted":true,"input":"01","max_constraints_satisfied":3,'
+        '"satisfying_extensions":["10"]},{"accepted":true,"input":"10","max_constraints_satisfied":3,'
+        '"satisfying_extensions":["01"]},{"accepted":false,"input":"11","max_constraints_satisfied":2,'
+        '"satisfying_extensions":[]}],"format":1,"formula":"p csp 4 3\\nor0 3 4\\nne 1 3\\nne 2 4\\n",'
+        '"found":true,"num_aux":2,"target":"OR2"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("target, rels, expected", IMPLEMENT_GOLDEN, ids=["OR0", "OR2"])
+def test_implement_output_is_golden(tmp_path, capsys, target, rels, expected):
+    path = write(tmp_path, "rels.txt", rels)
+    code, out = run_cli(capsys, "implement", "--target", target, "--using", path)
+    assert code == 0
+    assert out == expected
+
+
+def test_implement_invalid_gadget_exits_4(tmp_path, monkeypatch, capsys):
+    # no constraints: the rejected input 00 extends too, so the gadget is invalid
+    def fake_search(target, using, **bounds):
+        return Implementation(target, Formula(target.rank, ()), 0)
+
+    monkeypatch.setattr(cli, "search_implementation", fake_search)
+    path = write(tmp_path, "rels.txt", "relation eq 2\n00\n11\nend\n")
+    code, out, err = run_cli_err(capsys, "implement", "--target", "OR0", "--using", path)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_implement_not_found(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from satpoly.reductions import (
     replay_provenance,
     resolve_forced_loops,
     simulate_neg_weights,
-    to_bipartite_vc,
     vc_to_positive2sat,
 )
 from satpoly.graphs import partial_permanent, permanent
@@ -167,12 +167,6 @@ def test_bipartite_instance_is_two_colorable():
     assert "bipartition" in inst.provenance
 
 
-def test_to_bipartite_vc_from_weighted_stage():
-    weighted = partial_perm_to_vc(perm_to_partial_perm([[1, 1], [1, 1]]))
-    inst = to_bipartite_vc(weighted)
-    assert count_vertex_covers(inst.graph) % inst.modulus == 2
-
-
 def test_nonbipartite_instance_keeps_loops():
     inst = emit_instance([[1, 0], [0, 1]])
     assert inst.graph.loops  # zero elimination leaves forced vertices
@@ -187,6 +181,43 @@ def test_instance_file_roundtrip():
     assert again.provenance == inst.provenance
     assert count_vertex_covers(again.graph) == count_vertex_covers(inst.graph)
     assert format_instance_file(again) == text
+
+
+# sha256 of format_instance_file(emit_instance(matrix, bipartite)), recorded
+# from the pipeline before its bipartite steps were folded into one chain;
+# one 3x3 bipartite case, as each expands to about 10^6 leaf vertices
+INSTANCE_MATRICES = {
+    "1": [[1]],
+    "0": [[0]],
+    "id2": [[1, 0], [0, 1]],
+    "ones2": [[1, 1], [1, 1]],
+    "zero2": [[0, 0], [0, 0]],
+    "tri3": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    "id3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "ones3": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+}
+INSTANCE_DIGESTS = {
+    ("1", False): "63ebe325b6aba823c6a7c4bb28f59f86f698edb06f80eb4b200e504fbf05aa93",
+    ("1", True): "db3d058514bbba5303702f2821bf3b8c54c75ba37fde76165d1b4281243504e8",
+    ("0", False): "c041d3084527993ab945651ebe0cb0643897cdb13c62ac13efc8bf1e24a8b4ee",
+    ("0", True): "d1246ec98382e3edf36f103b94702d1f8193ef674141ad512a7e1619ec2935e7",
+    ("id2", False): "2d76f25f9bc987208c2f471500fe24e46d06f5be2d2dc8dca8fd6dd5f13e5569",
+    ("id2", True): "6ce05e718c33c00c3c6512d9a3235a20115491752eaad57ad8214ed826d1a64b",
+    ("ones2", False): "57d551e27d7065ff793351ecf88716dc26232164926eee05a639e5e23ca1b093",
+    ("ones2", True): "3b703c4e9b66035ab29861944144a5d84b36addd8b813c6b57dc542691536cf5",
+    ("zero2", False): "949902ef608d4bff7feb4d817603e7430d4292590e0d46e5aa972401aab9a3a8",
+    ("zero2", True): "c1752fbc9343d2afbe5a0b88d5e0739d073bfee381adf426cdd9de18c99cf5d8",
+    ("tri3", False): "61078b2de87cd7ba83ca86e54f58ed81b3313046f8781c513121d373bc4ceeda",
+    ("tri3", True): "e745b37e73987bb47f87b59228f3990e527543488041fb85af3605ffbb498094",
+    ("id3", False): "68106599beeb30b6ea95a0c583e7965bc151586a284f12ffd4710c569fdfe93e",
+    ("ones3", False): "ccd55087e8b8dc522fdb10d97f6f83c67f970f68a115ce772a22d0d95a0ed362",
+}
+
+
+@pytest.mark.parametrize("name, bipartite", sorted(INSTANCE_DIGESTS), ids=str)
+def test_instance_file_matches_recorded_digest(name, bipartite):
+    text = format_instance_file(emit_instance(INSTANCE_MATRICES[name], bipartite))
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_DIGESTS[name, bipartite]
 
 
 def test_provenance_replay_identical():
