@@ -3,18 +3,20 @@
 
 Prints each gadget stage with the sizes recorded in the instance's
 provenance, then counts the covers of the final unweighted instance and
-recovers the permanent modulo N.
+recovers the permanent modulo N.  Exits 1 when the recovered value is
+not the permanent.
 """
 
 import argparse
 import random
+import sys
 import time
 
 from satpoly.graphs import permanent
 from satpoly.reductions import count_vertex_covers, emit_instance
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-n", type=int, default=3, help="matrix dimension (<= 3 recommended)")
     parser.add_argument("--seed", type=int, default=7)
@@ -43,7 +45,11 @@ def main() -> None:
     want = permanent(a).as_fraction()
     print(f"cover count has {count.bit_length()} bits (counted in {elapsed * 1e3:.1f}ms)")
     print(f"count mod N = {recovered}, permanent = {want}, match = {recovered == want}")
+    if recovered != want:
+        print(f"error: count mod N is {recovered}, the permanent is {want}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,8 @@ the forced loops by deletion (the per-vertex -1 deletions pair up, so no
 sign is left behind).
 
 Leaf blocks are stored compressed (a per-vertex count) so instances stay
-cheap to build; serialization expands them to plain vertices.
+cheap to build; the instance writer emits each block as a range of leaf
+ids, in order, without expanding the graph.
 
 `count_vertex_covers` is the one exact cover counter, for pipeline instances
 and for the CLI's `count vc|is` alike.  The 2-clause translations at the end
@@ -72,6 +73,8 @@ class UnweightedGraph:
             raise ValueError("loop on a missing vertex")
         if not set(self.leaf_counts) <= self.vertices:
             raise ValueError("leaf block on a missing vertex")
+        if any(k < 0 for k in self.leaf_counts.values()):
+            raise ValueError("leaf block sizes must be non-negative")
 
     def vertex_count(self) -> int:
         return len(self.vertices) + sum(self.leaf_counts.values())
@@ -255,9 +258,21 @@ def simulate_neg_weights(
 # Exact cover counting
 
 
-def _simplify(adj: dict[int, set[int]], in_w: dict[int, int], out_w: dict[int, int]) -> int:
-    """Apply forced/isolated/pendant reductions to fixpoint; return the factor."""
-    factor = 1
+def _product(factors: list[int]) -> int:
+    """Multiply pairwise in rounds, so big factors meet at balanced sizes."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
+def _simplify(
+    adj: dict[int, set[int]], in_w: dict[int, int], out_w: dict[int, int]
+) -> list[int]:
+    """Apply forced/isolated/pendant reductions to fixpoint; return the factors."""
+    factors: list[int] = []
     pending = list(adj)
     while pending:
         v = pending.pop()
@@ -265,13 +280,14 @@ def _simplify(adj: dict[int, set[int]], in_w: dict[int, int], out_w: dict[int, i
             continue
         neighbors = adj[v]
         if out_w[v] == 0:
-            factor *= in_w[v]
+            if in_w[v] != 1:  # the usual forced weight on graphs without leaves
+                factors.append(in_w[v])
             for u in neighbors:
                 adj[u].discard(v)
                 pending.append(u)
             del adj[v], in_w[v], out_w[v]
         elif not neighbors:
-            factor *= in_w[v] + out_w[v]
+            factors.append(in_w[v] + out_w[v])
             del adj[v], in_w[v], out_w[v]
         elif len(neighbors) == 1:
             u = next(iter(neighbors))
@@ -280,7 +296,7 @@ def _simplify(adj: dict[int, set[int]], in_w: dict[int, int], out_w: dict[int, i
             adj[u].discard(v)
             del adj[v], in_w[v], out_w[v]
             pending.append(u)
-    return factor
+    return factors
 
 
 def _component_key(comp: list[int], adj, in_w, out_w):
@@ -295,12 +311,7 @@ def _component_key(comp: list[int], adj, in_w, out_w):
 
 
 def _count_weighted(adj, in_w, out_w, memo) -> int:
-    factor = _simplify(adj, in_w, out_w)
-    if factor == 0:
-        return 0
-    if not adj:
-        return factor
-    result = factor
+    factors = _simplify(adj, in_w, out_w)
     seen: set[int] = set()
     for start in sorted(adj):
         if start in seen:
@@ -315,8 +326,8 @@ def _count_weighted(adj, in_w, out_w, memo) -> int:
                     comp.append(u)
             i += 1
         comp.sort()
-        result *= _count_component(comp, adj, in_w, out_w, memo)
-    return result
+        factors.append(_count_component(comp, adj, in_w, out_w, memo))
+    return _product(factors)
 
 
 def _count_component(comp, adj, in_w, out_w, memo) -> int:
@@ -344,7 +355,11 @@ def count_vertex_covers(g: UnweightedGraph) -> int:
     """Exact cover count: loops force, leaf blocks fold, components branch.
 
     Worst case exponential, but the forced/isolated/pendant reductions
-    collapse the leaf-heavy pipeline instances almost entirely.
+    collapse the leaf-heavy pipeline instances almost entirely.  Their
+    forced and isolated factors and component counts multiply to results
+    of up to millions of bits; a left-to-right fold of many such factors
+    costs time quadratic in the result's size, so each level multiplies
+    its factors as a balanced tree instead.
     """
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for u, v in g.edges:
@@ -468,13 +483,36 @@ def ideal_to_implicative2sat(p: Poset) -> Formula:
 
 
 def format_instance_file(inst: ReductionInstance) -> str:
-    g = inst.graph.expand()
-    lines = [f"p graph {len(g.vertices)} {len(g.edges) + len(g.loops)}"]
-    for v in sorted(g.vertices):
-        lines.append(f"v {v} 1")
-    all_edges = sorted(set(g.edges) | {(u, u) for u in g.loops})
-    for u, v in all_edges:
-        lines.append(f"e {u} {v}")
+    """Write the instance with every leaf block as plain vertices and edges.
+
+    Leaf ids run on from the largest core id, one consecutive range per
+    block in sorted core order, as `UnweightedGraph.expand` numbers them.
+    Lines come out in sorted order without building the expanded graph:
+    the core vertices, then the leaf range; per core vertex u, its loop,
+    its core edges to larger ids, then its leaf block.
+    """
+    g = inst.graph
+    core = sorted(g.vertices)
+    leaves = sum(g.leaf_counts.values())
+    next_leaf = core[-1] + 1 if core else 0
+    above: dict[int, list[int]] = {u: [] for u in core}
+    for u, v in g.edges:
+        above[u].append(v)
+    lines = [f"p graph {len(core) + leaves} {len(g.edges) + len(g.loops) + leaves}"]
+    lines.extend(f"v {v} 1" for v in core)
+    if leaves:
+        ids = range(next_leaf, next_leaf + leaves)
+        lines.append("v " + " 1\nv ".join(map(str, ids)) + " 1")
+    for u in core:
+        if u in g.loops:
+            lines.append(f"e {u} {u}")
+        lines.extend(f"e {u} {v}" for v in sorted(above[u]))
+        k = g.leaf_counts.get(u, 0)
+        if k:
+            prefix = f"e {u} "
+            ids = range(next_leaf, next_leaf + k)
+            lines.append(prefix + ("\n" + prefix).join(map(str, ids)))
+            next_leaf += k
     lines.append(f"modulus {inst.modulus}")
     lines.append(
         "provenance " + json.dumps(inst.provenance, sort_keys=True, separators=(",", ":"))

@@ -1,8 +1,10 @@
 import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpoly.errors import SatPolyError
@@ -11,6 +13,7 @@ from satpoly.graphs import two_coloring, vcp, weighted_graph
 from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
+    _component_key,
     UnweightedGraph,
     brute_count_vertex_covers,
     count_vertex_covers,
@@ -275,3 +278,226 @@ def test_instance_invariants():
     assert inst.modulus == (1 << v) + 1
     neg_leaf_total = sum(inst.graph.leaf_counts.values())
     assert inst.graph.vertex_count() == v + neg_leaf_total
+
+
+def test_negative_leaf_block_is_rejected():
+    with pytest.raises(ValueError, match="leaf block sizes must be non-negative"):
+        UnweightedGraph([0, 1], [(0, 1)], leaf_counts={0: -1})
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the instance writer and the cover counter against
+# the previous implementations: the writer expanded every leaf block and
+# sorted, the counter folded its factors left to right.
+
+
+def _expanding_format_instance_file(inst):
+    g = inst.graph.expand()
+    lines = [f"p graph {len(g.vertices)} {len(g.edges) + len(g.loops)}"]
+    for v in sorted(g.vertices):
+        lines.append(f"v {v} 1")
+    all_edges = sorted(set(g.edges) | {(u, u) for u in g.loops})
+    for u, v in all_edges:
+        lines.append(f"e {u} {v}")
+    lines.append(f"modulus {inst.modulus}")
+    lines.append(
+        "provenance " + json.dumps(inst.provenance, sort_keys=True, separators=(",", ":"))
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _sequential_simplify(adj, in_w, out_w):
+    factor = 1
+    pending = list(adj)
+    while pending:
+        v = pending.pop()
+        if v not in adj:
+            continue
+        neighbors = adj[v]
+        if out_w[v] == 0:
+            factor *= in_w[v]
+            for u in neighbors:
+                adj[u].discard(v)
+                pending.append(u)
+            del adj[v], in_w[v], out_w[v]
+        elif not neighbors:
+            factor *= in_w[v] + out_w[v]
+            del adj[v], in_w[v], out_w[v]
+        elif len(neighbors) == 1:
+            u = next(iter(neighbors))
+            in_w[u] *= in_w[v] + out_w[v]
+            out_w[u] *= in_w[v]
+            adj[u].discard(v)
+            del adj[v], in_w[v], out_w[v]
+            pending.append(u)
+    return factor
+
+
+def _sequential_count_weighted(adj, in_w, out_w, memo):
+    factor = _sequential_simplify(adj, in_w, out_w)
+    if factor == 0:
+        return 0
+    if not adj:
+        return factor
+    result = factor
+    seen = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        i = 0
+        while i < len(comp):
+            for u in adj[comp[i]]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+            i += 1
+        comp.sort()
+        result *= _sequential_count_component(comp, adj, in_w, out_w, memo)
+    return result
+
+
+def _sequential_count_component(comp, adj, in_w, out_w, memo):
+    key = _component_key(comp, adj, in_w, out_w)
+    if key in memo:
+        return memo[key]
+    branch = min(comp, key=lambda u: (-len(adj[u]), u))
+    adj_in = {v: set(adj[v]) - {branch} for v in comp if v != branch}
+    in_in = {v: in_w[v] for v in comp if v != branch}
+    out_in = {v: out_w[v] for v in comp if v != branch}
+    total = in_w[branch] * _sequential_count_weighted(adj_in, in_in, out_in, memo)
+    adj_out = {v: set(adj[v]) - {branch} for v in comp if v != branch}
+    in_out = {v: in_w[v] for v in comp if v != branch}
+    out_out = {v: out_w[v] for v in comp if v != branch}
+    for u in adj[branch]:
+        out_out[u] = 0
+    total += out_w[branch] * _sequential_count_weighted(adj_out, in_out, out_out, memo)
+    memo[key] = total
+    return total
+
+
+def _sequential_count_vertex_covers(g):
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    in_w = {v: 1 << g.leaf_counts.get(v, 0) for v in g.vertices}
+    out_w = {v: 0 if v in g.loops else 1 for v in g.vertices}
+    return _sequential_count_weighted(adj, in_w, out_w, {})
+
+
+@st.composite
+def compressed_graphs(draw, max_core=8, max_block=5):
+    """Graphs with loops, negative and non-contiguous ids and leaf blocks of size 0-5."""
+    ids = sorted(draw(st.sets(st.integers(-20, 40), max_size=max_core)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    loops = draw(st.sets(st.sampled_from(ids), max_size=3)) if ids else set()
+    blocks = draw(st.dictionaries(
+        st.sampled_from(ids), st.integers(0, max_block), max_size=4
+    )) if ids else {}
+    return UnweightedGraph(ids, edges, loops, blocks)
+
+
+def _instance(g):
+    return ReductionInstance(g, (1 << len(g.vertices)) + 1, {"note": "test"})
+
+
+def _matrix_of(bits, n):
+    return [[(bits >> (n * i + j)) & 1 for j in range(n)] for i in range(n)]
+
+
+def _seeded_matrices(n, seeds):
+    return [
+        [[1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+        for rng in (random.Random(f"matrix/{n}/{s}") for s in seeds)
+    ]
+
+
+@given(compressed_graphs())
+@settings(max_examples=150)
+def test_writer_matches_expanding_writer(g):
+    inst = _instance(g)
+    assert format_instance_file(inst) == _expanding_format_instance_file(inst)
+
+
+def test_writer_matches_expanding_writer_edge_cases():
+    cases = [
+        UnweightedGraph([], []),
+        UnweightedGraph([-3], [], loops=[-3]),
+        UnweightedGraph([-5, 2, 9], [(-5, 9), (2, 9)]),
+        UnweightedGraph([-5, 2, 9], [(-5, 9)], [2], {-5: 0, 2: 0, 9: 0}),
+        UnweightedGraph([-1, 4, 7], [(-1, 4), (4, 7)], [4], {7: 2, -1: 3, 4: 0}),
+    ]
+    for g in cases:
+        inst = _instance(g)
+        assert format_instance_file(inst) == _expanding_format_instance_file(inst)
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_writer_matches_expanding_writer_on_pipeline_instances(bipartite):
+    # each 3x3 bipartite instance takes seconds to expand and sort
+    seeds = (1,) if bipartite else (1, 2, 3)
+    matrices = [_matrix_of(bits, 2) for bits in range(16)] + _seeded_matrices(3, seeds)
+    for a in matrices:
+        inst = emit_instance(a, bipartite)
+        assert format_instance_file(inst) == _expanding_format_instance_file(inst), a
+
+
+def _assert_same_expanded_graph(inst):
+    parsed = parse_instance_file(format_instance_file(inst)).graph
+    expanded = inst.graph.expand()
+    assert parsed.vertices == expanded.vertices
+    assert parsed.edges == expanded.edges
+    assert parsed.loops == expanded.loops
+    assert parsed.leaf_counts == {}
+
+
+@given(compressed_graphs())
+def test_instance_file_parses_to_expanded_graph(g):
+    _assert_same_expanded_graph(_instance(g))
+
+
+def test_pipeline_instance_file_parses_to_expanded_graph():
+    for a, bipartite in (([[1, 0], [1, 1]], False), ([[1, 1], [0, 1]], True)):
+        _assert_same_expanded_graph(emit_instance(a, bipartite))
+
+
+def _grid(k, length):
+    edges = [(i * length + j, i * length + j + 1) for i in range(k) for j in range(length - 1)]
+    edges += [(i * length + j, (i + 1) * length + j) for i in range(k - 1) for j in range(length)]
+    return UnweightedGraph(range(k * length), edges)
+
+
+def _sparse(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    loops = {v for v in range(n) if rng.random() < 0.1}
+    return UnweightedGraph(range(n), rng.sample(pairs, round(1.4 * n)), loops)
+
+
+def test_counter_matches_sequential_fold_on_pipeline_instances():
+    cases = [(a, False) for n in (2, 3, 4) for a in _seeded_matrices(n, (1, 2))]
+    cases += [(a, True) for n in (2, 3) for a in _seeded_matrices(n, (1,))]
+    cases.append(([[1, 1, 1], [1, 1, 1], [1, 1, 1]], False))
+    for a, bipartite in cases:
+        inst = emit_instance(a, bipartite)
+        count = count_vertex_covers(inst.graph)
+        assert count == _sequential_count_vertex_covers(inst.graph), (a, bipartite)
+        assert count % inst.modulus == permanent(a).as_fraction()
+
+
+def test_counter_matches_sequential_fold_on_grids_and_sparse_graphs():
+    graphs = [_grid(k, length) for k in range(1, 7) for length in range(k, 9)]
+    rng = random.Random(5)
+    graphs += [_sparse(rng, n) for n in range(4, 25, 2)]
+    graphs.append(UnweightedGraph(range(12), [], [3], {v: v % 4 for v in range(12)}))
+    for g in graphs:
+        assert count_vertex_covers(g) == _sequential_count_vertex_covers(g), g
+
+
+@given(compressed_graphs(max_core=10, max_block=4))
+@settings(max_examples=60)
+def test_counter_matches_enumeration_with_leaf_blocks(g):
+    assume(g.vertex_count() <= 20)
+    assert count_vertex_covers(g) == brute_count_vertex_covers(g)
