@@ -84,6 +84,44 @@ def random_formula(rng: random.Random, max_vars: int = 10, hard: bool = True) ->
     return Formula(n, tuple(cons))
 
 
+def random_banded_formula(
+    rng: random.Random, n: int, window: int = 8, density: float = 1.2
+) -> Formula:
+    """Satisfiable hard formula whose constraints join variables less than window apart.
+
+    A planted assignment is drawn first and a constraint is kept only when
+    it accepts it.  Every variable not yet covered gets a constraint
+    through it, then random ones follow up to round(density * n).  Such
+    formulas have min-degree elimination width below window whatever n
+    is.  Needs n >= window >= 3.
+    """
+    names = ["OR0", "OR1", "OR2", "CLAUSE3", "EQ", "NE"]
+    planted = [rng.randrange(2) for _ in range(n)]
+    cons = []
+    covered: set[int] = set()
+
+    def add(v: int) -> None:
+        lo = min(max(0, v - window + 1), n - window)
+        others = [u for u in range(lo, lo + window) if u != v]
+        while True:
+            rel = BUILTIN_RELATIONS[rng.choice(names)]
+            args = [v] + rng.sample(others, rel.rank - 1)
+            rng.shuffle(args)
+            if tuple(planted[a] for a in args) in rel.accepted:
+                cons.append((rel, tuple(args)))
+                covered.update(args)
+                return
+
+    order = list(range(n))
+    rng.shuffle(order)
+    for v in order:
+        if v not in covered:
+            add(v)
+    while len(cons) < round(density * n):
+        add(rng.randrange(n))
+    return Formula(n, tuple(cons))
+
+
 def random_graph(
     rng: random.Random,
     max_vertices: int,

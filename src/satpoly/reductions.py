@@ -259,13 +259,27 @@ def simulate_neg_weights(
 
 
 def _product(factors: list[int]) -> int:
-    """Multiply pairwise in rounds, so big factors meet at balanced sizes."""
+    """Multiply pairwise in rounds, so big factors meet at balanced sizes.
+
+    The 2**k leaf weights leave many trailing zero bits: they are stripped
+    from each factor first, the odd parts multiplied, and one shift at the
+    end puts them back.
+    """
+    if 0 in factors:
+        return 0
+    shift = 0
+    odd = []
+    for x in factors:
+        tz = (x & -x).bit_length() - 1
+        shift += tz
+        odd.append(x >> tz)
+    factors = odd
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         if len(factors) % 2:
             paired.append(factors[-1])
         factors = paired
-    return factors[0] if factors else 1
+    return (factors[0] if factors else 1) << shift
 
 
 def _simplify(

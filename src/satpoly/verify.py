@@ -27,7 +27,8 @@ from .affine import (
     ternary0_to_ternary1,
 )
 from .easy_eval import easy_evaluate, easy_factor, expand_factored
-from .formulas import Formula, count_sat, eval_formula_poly, poly_of_formula
+from .elimination import min_degree_order
+from .formulas import _ELIM_WIDTH, Formula, count_sat, eval_formula_poly, poly_of_formula
 from .graphs import (
     Var,
     WeightedGraph,
@@ -490,6 +491,27 @@ def _check_formula_polynomials(rng: random.Random) -> str:
     return "100 formulas: counts, coefficients, streaming evaluation, diagonal case"
 
 
+def _check_elimination_vs_enumeration(rng: random.Random) -> str:
+    models = 0
+    for n in (23, 24, 25, 26):
+        for _ in range(5):
+            f = gen.random_banded_formula(rng, n)
+            width = min_degree_order(n, (args for _, args in f.constraints))[1]
+            assert width <= _ELIM_WIDTH, f"banded formula of width {width}"
+            n_sat = count_sat(f)
+            poly = poly_of_formula(f)
+            assert len(poly.terms) == n_sat, "elimination count differs from the models listed"
+            point = gen.random_point(rng, n)
+            assert eval_formula_poly(f, point) == poly.evaluate(point), (
+                "elimination value differs from the enumerated polynomial"
+            )
+            assert eval_formula_poly(f, [Fraction(1)] * n) == n_sat, (
+                "all-ones evaluation is not the model count"
+            )
+            models += n_sat
+    return f"20 banded formulas of 23-26 variables, {models} models listed"
+
+
 def _check_homogeneous_components(rng: random.Random) -> str:
     points = 0
     for _ in range(10):
@@ -708,6 +730,7 @@ INVARIANT_CHECKS: list[Check] = [
     Check("affine-subspace-oracle", 120.0, _check_affine_oracle, acceptance=False),
     Check("incidence-exchange-sample-6", 120.0, _check_incidence_exchange_sample6, acceptance=False),
     Check("formula-polynomial-consistency", 60.0, _check_formula_polynomials, acceptance=False),
+    Check("elimination-vs-enumeration", 30.0, _check_elimination_vs_enumeration, acceptance=False),
     Check("homogeneous-components", 60.0, _check_homogeneous_components, acceptance=False),
     Check("poly-serialization-roundtrip", 30.0, _check_poly_roundtrip, acceptance=False),
     Check("factored-expansion", 60.0, _check_factored_expansion, acceptance=False),

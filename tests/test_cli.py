@@ -1,9 +1,13 @@
 import json
+import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import satpoly.cli as cli
+import satpoly.formulas as formulas_mod
 from satpoly.formulas import Formula, count_sat
 from satpoly.graphs import parse_graph_file
 from satpoly.implement import Implementation
@@ -13,6 +17,7 @@ from satpoly.reductions import (
     is_to_negative2sat,
     vc_to_positive2sat,
 )
+from satpoly.relations import BUILTIN_RELATIONS
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +226,57 @@ v 3 1
 r 1 2
 r 2 3
 """
+
+
+def no_dfs():
+    """Fail if a formula is searched depth-first rather than eliminated."""
+    return mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError)
+
+
+def test_count_ideals_of_disjoint_chains(tmp_path, capsys):
+    # 25 elements: past the truth table, eliminated; a chain of length L
+    # has L + 1 ideals and the ideals of a disjoint union multiply
+    lengths = [6, 5, 5, 4, 3, 2]
+    lines = ["p poset 25"] + [f"v {x} 1" for x in range(25)]
+    start = 0
+    for length in lengths:
+        lines += [f"r {x} {x + 1}" for x in range(start, start + length - 1)]
+        start += length
+    path = write(tmp_path, "chains.txt", "\n".join(lines) + "\n")
+    with no_dfs():
+        code, out = run_cli(capsys, "count", "ideals", "--poset", path)
+    assert code == 0
+    assert json.loads(out)["count"] == str(math.prod(length + 1 for length in lengths))
+
+
+def path_polynomial_value(rels, point):
+    """Polynomial of a path formula at point, by a 2-state transfer matrix."""
+    state = [Fraction(1), point[0]]  # weight of the prefixes ending in 0 and in 1
+    for rel, x in zip(rels, point[1:]):
+        state = [
+            sum(state[b] for b in (0, 1) if (b, c) in rel.accepted) * (x if c else 1)
+            for c in (0, 1)
+        ]
+    return state[0] + state[1]
+
+
+def test_count_and_eval_on_a_28_variable_path(tmp_path, capsys):
+    rng = random.Random(28)
+    names = [rng.choice(("EQ", "NE", "OR0")) for _ in range(27)]
+    text = "p csp 28 27\n" + "".join(f"{name} {i + 1} {i + 2}\n" for i, name in enumerate(names))
+    path = write(tmp_path, "path.csp", text)
+    rels = [BUILTIN_RELATIONS[name] for name in names]
+    point = [Fraction(rng.randint(-999_999, 999_999), rng.randint(1, 999_999)) for _ in range(28)]
+    with no_dfs():
+        code, out = run_cli(capsys, "count", "sat", "--formula", path)
+        assert code == 0
+        assert json.loads(out)["count"] == str(path_polynomial_value(rels, [1] * 28))
+        code, out = run_cli(capsys, "eval", "--formula", path,
+                            "--point=" + ",".join(map(str, point)))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == "enumeration"
+    assert payload["value"] == str(path_polynomial_value(rels, point))
 
 
 def test_count_poset_kinds(tmp_path, capsys):

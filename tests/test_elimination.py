@@ -1,0 +1,101 @@
+from itertools import product
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from satpoly.elimination import constraint_factor, min_degree_order, weighted_count
+from satpoly.relations import BUILTIN_RELATIONS, xor_relation
+
+from strategies import small_relations
+
+B = BUILTIN_RELATIONS
+
+
+def test_min_degree_order_path_and_clique():
+    path = [(i, i + 1) for i in range(9)]
+    order, width = min_degree_order(10, path)
+    assert sorted(order) == list(range(10)) and width == 1
+    clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert min_degree_order(6, clique)[1] == 5
+    assert min_degree_order(4, []) == ([0, 1, 2, 3], 0)
+
+
+def test_min_degree_order_counts_fill_edges():
+    # a 4-cycle: eliminating any vertex joins its two neighbours
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    order, width = min_degree_order(4, cycle)
+    assert order[0] == 0 and width == 2
+
+
+def test_min_degree_order_drops_stale_entries():
+    # a star with one pendant path: the hub's degree falls as leaves go,
+    # leaving stale heap entries behind; each vertex is ordered once
+    star = [(0, i) for i in range(1, 6)] + [(5, 6), (6, 7)]
+    order, width = min_degree_order(8, star)
+    assert sorted(order) == list(range(8))
+    assert width == 1
+    assert order.index(0) > order.index(1)
+
+
+def test_constraint_factor_diagonal():
+    scope, table = constraint_factor(B["OR0"], (3, 3))
+    assert scope == (3,) and table == [0, 1]
+    scope, table = constraint_factor(B["NE"], (2, 2))
+    assert table == [0, 0]
+    # x xor x xor y = 1 forces y = 1 and leaves x free
+    scope, table = constraint_factor(xor_relation(3, 1), (0, 0, 1))
+    assert scope == (0, 1) and table == [0, 0, 1, 1]
+    scope, table = constraint_factor(B["CLAUSE3"], (5, 1, 5))
+    assert scope == (5, 1)
+    for e in range(4):
+        x, y = e & 1, e >> 1 & 1
+        assert table[e] == int((x, y, x) in B["CLAUSE3"].accepted)
+
+
+def brute_weighted_count(num_vars, constraints, weights):
+    total = 0
+    for bits in product((0, 1), repeat=num_vars):
+        if all(tuple(bits[a] for a in args) in rel.accepted for rel, args in constraints):
+            prod = 1
+            for b, (w0, w1) in zip(bits, weights):
+                prod *= w1 if b else w0
+            total += prod
+    return total
+
+
+weights_st = st.tuples(st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def applied_constraints(draw, max_vars=7):
+    n = draw(st.integers(1, max_vars))
+    cons = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        rel = draw(st.one_of(small_relations, st.sampled_from(sorted(B.values(), key=repr))))
+        cons.append((rel, tuple(draw(st.integers(0, n - 1)) for _ in range(rel.rank))))
+    weights = [draw(weights_st) for _ in range(n)]
+    return n, cons, weights
+
+
+@given(applied_constraints())
+def test_weighted_count_matches_enumeration(case):
+    n, cons, weights = case
+    order, _ = min_degree_order(n, (args for _, args in cons))
+    factors = [constraint_factor(rel, args) for rel, args in cons]
+    assert weighted_count(factors, weights, order) == brute_weighted_count(n, cons, weights)
+
+
+@given(applied_constraints(), st.randoms(use_true_random=False))
+def test_weighted_count_does_not_depend_on_the_order(case, rnd):
+    n, cons, weights = case
+    order = list(range(n))
+    rnd.shuffle(order)
+    factors = [constraint_factor(rel, args) for rel, args in cons]
+    assert weighted_count(factors, weights, order) == brute_weighted_count(n, cons, weights)
+
+
+def test_weighted_count_unconstrained_variable_and_zero_weight():
+    # variable 1 is in no factor, so it contributes w0 + w1
+    factors = [constraint_factor(B["OR0"], (0, 2))]
+    assert weighted_count(factors, [(2, 3), (5, 7), (1, 0)], [0, 1, 2]) == 3 * 12
+    assert weighted_count([constraint_factor(B["NE"], (0, 0))], [(1, 1)], [0]) == 0

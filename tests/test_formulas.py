@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -19,9 +20,10 @@ from satpoly.formulas import (
     poly_of_formula,
 )
 from satpoly._bits import iter_bits
+from satpoly.elimination import min_degree_order
 from satpoly.graphs import or2_formula_partial_perm
 from satpoly.polynomial import MultilinearPoly
-from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file
+from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, xor_relation
 
 from strategies import formulas, points_for
 
@@ -78,8 +80,6 @@ def test_duplicate_arguments_diagonal():
     g = Formula(1, ((B["NE"], (0, 0)),))
     assert count_sat(g) == 0
     # parity with a repeated variable cancels it
-    from satpoly.relations import xor_relation
-
     h = Formula(2, ((xor_relation(3, 1), (0, 0, 1)),))
     assert count_sat(h) == 2  # x free, y forced to 1
 
@@ -105,15 +105,18 @@ def test_all_ones_is_model_count(f):
 
 
 def test_backtracking_path_above_table_limit():
-    # 23 constrained variables exceed the table limit, forcing the
-    # depth-first path; a chain of OR0 clauses counts strings with no two
-    # adjacent zeros, i.e. a Fibonacci number (independent recurrence)
+    # 23 constrained variables exceed the table limit; the chain is narrow,
+    # so it is eliminated, and with _ELIM_WIDTH = -1 searched depth-first.
+    # A chain of OR0 clauses counts strings with no two adjacent zeros,
+    # i.e. a Fibonacci number (independent recurrence)
     fib = [1, 2]  # fib[n] = strings of length n with no two adjacent zeros
     while len(fib) < 24:
         fib.append(fib[-1] + fib[-2])
     cons = tuple((B["OR0"], (i, i + 1)) for i in range(22))
     f = Formula(23, cons)
     assert count_sat(f) == fib[23]
+    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+        assert count_sat(f) == fib[23]
     assert count_sat(Formula(24, ())) == 1 << 24
 
 
@@ -176,13 +179,124 @@ def test_fold_table_random(weights, data):
 six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
 
 
-@given(formulas(max_vars=12), st.data())
-def test_table_and_dfs_paths_agree_at_six_digit_points(f, data):
-    point = [data.draw(six_digit) for _ in range(f.num_vars)]
-    table_value = eval_formula_poly(f, point)
+def three_routes(fn, f, *args):
+    """fn's result on the truth table, on variable elimination and on the DFS.
+
+    _TABLE_VARS = 0 sends every formula past the table; _ELIM_WIDTH = -1
+    then sends it past elimination too.  The elimination route must not
+    reach the DFS.
+    """
+    table = fn(f, *args)
     with mock.patch.object(formulas_mod, "_TABLE_VARS", 0):
-        dfs_value = eval_formula_poly(f, point)
-    assert table_value == dfs_value
+        with mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError):
+            elim = fn(f, *args)
+        with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+            dfs = fn(f, *args)
+    return table, elim, dfs
+
+
+def assert_routes_agree(f, point):
+    table, elim, dfs = three_routes(count_sat, f)
+    assert table == elim == dfs
+    table, elim, dfs = three_routes(eval_formula_poly, f, point)
+    assert table == elim == dfs
+
+
+@given(formulas(max_vars=12), st.data())
+def test_table_elimination_and_dfs_paths_agree_at_six_digit_points(f, data):
+    point = [data.draw(six_digit) for _ in range(f.num_vars)]
+    assert_routes_agree(f, point)
+
+
+ROUTE_CASES = {
+    # name: (formula, point)
+    "repeated-arguments": (
+        Formula(4, ((B["OR0"], (0, 0)), (B["CLAUSE3"], (1, 2, 1)), (B["OR2"], (2, 3)))),
+        [F(3, 7), F(-5, 2), F(123457, 999983), F(-1)],
+    ),
+    "parity": (
+        Formula(5, (
+            (xor_relation(3, 1), (0, 1, 2)),
+            (xor_relation(3, 0), (2, 3, 4)),
+            (xor_relation(2, 1), (4, 4)),  # x xor x = 1: unsatisfiable
+        )),
+        [F(2)] * 5,
+    ),
+    "parity-satisfiable": (
+        Formula(6, (
+            (xor_relation(4, 1), (0, 1, 2, 3)),
+            (xor_relation(3, 0), (3, 4, 5)),
+            (xor_relation(3, 1), (5, 5, 0)),
+        )),
+        [F(-987654, 123457), F(654321, 999983), F(1, 3), F(7), F(-2, 9), F(5, 4)],
+    ),
+    "inconsistent": (
+        Formula(3, ((B["OR0"], (0, 1)), (B["F"], (0,)), (B["F"], (1,)), (B["EQ"], (1, 2)))),
+        [F(1), F(2), F(3)],
+    ),
+    "free-variables": (
+        Formula(6, ((B["NE"], (1, 4)), (B["OR1"], (4, 2)))),
+        [F(2, 3), F(-999_999, 7), F(5), F(11, 13), F(-1, 2), F(9)],
+    ),
+    "zero-coordinates": (
+        Formula(4, ((B["OR0"], (0, 1)), (B["OR2"], (1, 2)), (B["CLAUSE3"], (1, 2, 3)))),
+        [F(0), F(0), F(-4, 5), F(0)],
+    ),
+    "negative-coordinates": (
+        Formula(5, tuple((B["OR0"], (i, i + 1)) for i in range(4))),
+        [F(-999_999, 100_003), F(-1), F(-3, 2), F(-654_321), F(-1, 999_999)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_routes_agree_on_edge_cases(name):
+    f, point = ROUTE_CASES[name]
+    assert_routes_agree(f, point)
+
+
+def banded_formula(rng, n, window=6, density=1.5):
+    """A satisfiable formula whose constraints join variables < window apart."""
+    names = ["OR0", "OR1", "OR2", "CLAUSE3", "EQ", "NE"]
+    planted = [rng.randrange(2) for _ in range(n)]
+    cons = []
+    while len(cons) < round(density * n) or len({a for _, args in cons for a in args}) < n:
+        rel = B[rng.choice(names)]
+        base = rng.randrange(n - window + 1)
+        args = tuple(rng.sample(range(base, base + window), rel.rank))
+        if tuple(planted[a] for a in args) in rel.accepted:
+            cons.append((rel, args))
+    return Formula(n, tuple(cons))
+
+
+@pytest.mark.parametrize("n", range(23, 29))
+def test_elimination_matches_dfs_on_banded_formulas(n):
+    rng = random.Random(f"banded/{n}")
+    f = banded_formula(rng, n)
+    point = [F(rng.choice((-1, 1)) * rng.randint(100_000, 999_999), rng.randint(100_000, 999_999))
+             for _ in range(n)]
+    with mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError):
+        elim = count_sat(f), eval_formula_poly(f, point)
+    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+        dfs = count_sat(f), eval_formula_poly(f, point)
+    assert elim == dfs and elim[0] > 0
+
+
+def test_formula_wider_than_elim_width_takes_the_dfs():
+    # OR0 on every pair of 24 variables: at most one variable is 0
+    n = 24
+    f = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
+    assert min_degree_order(n, (args for _, args in f.constraints))[1] > formulas_mod._ELIM_WIDTH
+    dfs = mock.Mock(wraps=formulas_mod._sat_assignments_dfs)
+    with mock.patch.object(formulas_mod, "weighted_count", side_effect=AssertionError), \
+            mock.patch.object(formulas_mod, "_sat_assignments_dfs", dfs):
+        assert count_sat(f) == n + 1
+        point = [F(i + 1) for i in range(n)]
+        all_ones = 1
+        for x in point:
+            all_ones *= x
+        assert eval_formula_poly(f, point) == all_ones * (1 + sum(1 / x for x in point))
+    assert dfs.call_count == 2
 
 
 FORMULA_FILE = """\

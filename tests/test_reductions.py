@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
     _component_key,
+    _product,
     UnweightedGraph,
     brute_count_vertex_covers,
     count_vertex_covers,
@@ -501,3 +503,30 @@ def test_counter_matches_sequential_fold_on_grids_and_sparse_graphs():
 def test_counter_matches_enumeration_with_leaf_blocks(g):
     assume(g.vertex_count() <= 20)
     assert count_vertex_covers(g) == brute_count_vertex_covers(g)
+
+
+PRODUCT_CASES = {
+    "empty": [],
+    "one": [1],
+    "ones": [1, 1, 1],
+    "single-power": [1 << 40],
+    "powers": [2, 1 << 17, 1 << 64, 8],
+    "odd": [3, 5, 7, 999_999_937],
+    "mixed": [1 << 33, 1, 3 * (1 << 5), 7, (1 << 90) + 1, 1 << 3, 12],
+    "odd-count-mixed": [6, 1 << 20, 5, 1, 10 << 50],
+    "big-odd-parts": [((1 << 200) - 1) << 70, 3 << 1000, 1 << 500],
+    "zero-first": [0, 5, 1 << 9],
+    "zero-inside": [5, 0, 1 << 9],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_product_matches_math_prod(name):
+    factors = PRODUCT_CASES[name]
+    assert _product(list(factors)) == math.prod(factors)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1 << 80), st.integers(0, 300)), max_size=12))
+def test_product_matches_math_prod_random(parts):
+    factors = [x << k for x, k in parts]
+    assert _product(factors) == math.prod(factors)
