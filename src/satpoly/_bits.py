@@ -1,4 +1,4 @@
-"""Bit-parallel truth tables.
+"""Bit-parallel truth tables, and the product of many big integers.
 
 A table over t Boolean variables is a (2**t)-bit integer whose bit e holds
 the value at the assignment with binary code e, where variable i contributes
@@ -42,3 +42,27 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def balanced_product(factors: list[int]) -> int:
+    """Multiply pairwise in rounds, so big factors meet at balanced sizes.
+
+    Factors such as the 2**k leaf weights of a cover count carry many
+    trailing zero bits: they are stripped from each factor first, the odd
+    parts multiplied, and one shift at the end puts them back.
+    """
+    if 0 in factors:
+        return 0
+    shift = 0
+    odd = []
+    for x in factors:
+        tz = (x & -x).bit_length() - 1
+        shift += tz
+        odd.append(x >> tz)
+    factors = odd
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return (factors[0] if factors else 1) << shift

@@ -59,13 +59,17 @@ def _read(path: str) -> str:
 
 
 def _parse_point(text: str, n: int) -> list[Fraction]:
-    toks = [t for t in text.replace(",", " ").split() if t]
+    """One Fraction per distinct token, shared by every coordinate that repeats it."""
+    toks = text.replace(",", " ").split()
     if len(toks) != n:
         raise ParseError(f"point has {len(toks)} coordinates, formula has {n} variables")
+    parsed = dict.fromkeys(toks)  # first-appearance order, so the first bad token is reported
     try:
-        return [Fraction(t) for t in toks]
+        for t in parsed:
+            parsed[t] = Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational in point: {exc}") from None
+    return [parsed[t] for t in toks]
 
 
 # the input file each count kind and reduce target reads
@@ -178,9 +182,9 @@ def _cmd_count(args) -> int:
         n = count_sat(ideal_to_implicative2sat(p)) if p.elements else 1
         _emit({"kind": "ideals", "count": str(n)})
     else:
-        from .posets import Poset, antichain_poly
+        from .posets import antichain_poly
 
-        unit = Poset(dict.fromkeys(p.elements, Fraction(1)), p.less)
+        unit = p.reweighted(dict.fromkeys(p.elements, Fraction(1)))
         _emit({"kind": "antichains", "count": str(antichain_poly(unit).as_fraction())})
     return 0
 
@@ -328,6 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # counts and values outgrow the 4300-digit default int-str limit; lifted
+    # for the whole process, since callers that run main in-process read the
+    # emitted decimals back with int() or Fraction()
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ class Formula:
                 if not 0 <= a < self.num_vars:
                     raise ValueError(f"argument {a} out of range [0, {self.num_vars})")
 
-    @property
+    @cached_property
     def relation_set(self) -> tuple[Relation, ...]:
         if self.relation_table is not None:
             return self.relation_table
@@ -296,13 +297,15 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
     num_vars = None
     declared = 0
     constraints: list[Constraint] = []
-    used: dict[Relation, None] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    resolved: dict[str, Relation] = {}  # each relation name is looked up once per file
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if parts[0] == "p":
+        if not parts:
+            continue
+        name = parts[0]
+        if name == "p":
             if num_vars is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[1] != "csp":
@@ -317,19 +320,20 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: constraint before header")
-        rel = resolve_relation(parts[0], relations)
+        rel = resolved.get(name)
+        if rel is None:
+            rel = resolved[name] = resolve_relation(name, relations)
         try:
-            args = tuple(int(tok) - 1 for tok in parts[1:])
+            args = [int(tok) - 1 for tok in parts[1:]]
         except ValueError:
             raise ParseError(f"line {lineno}: bad variable index") from None
         if len(args) != rel.rank:
             raise ParseError(
                 f"line {lineno}: {rel.name} has rank {rel.rank}, got {len(args)} arguments"
             )
-        if any(not 0 <= a < num_vars for a in args):
+        if min(args) < 0 or max(args) >= num_vars:
             raise ParseError(f"line {lineno}: variable index out of range")
-        constraints.append((rel, args))
-        used.setdefault(rel)
+        constraints.append((rel, tuple(args)))
     if num_vars is None:
         raise ParseError("missing 'p csp' header")
     if len(constraints) != declared:
@@ -339,7 +343,7 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
     table = None
     if relations is not None:
         merged = dict(relations)
-        for rel in used:
+        for rel in dict.fromkeys(resolved.values()):
             merged.setdefault(rel.name, rel)
         table = tuple(merged.values())
     return Formula(num_vars, tuple(constraints), table)

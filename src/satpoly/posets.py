@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._bits import iter_bits
 from .errors import BoundExceeded, ParseError
 from .formulas import Formula
 from .graphs import (
@@ -58,21 +59,7 @@ class Poset:
                 raise ValueError(f"relation ({x}, {y}) references a missing element")
             if x == y:
                 raise ValueError(f"order must be irreflexive, got ({x}, {x})")
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(rel):
-                for y2, z in list(rel):
-                    if y == y2 and (x, z) not in rel:
-                        if x == z:
-                            raise ValueError(f"cycle through {x} breaks antisymmetry")
-                        rel.add((x, z))
-                        changed = True
-        for x, y in rel:
-            if (y, x) in rel:
-                raise ValueError(f"antisymmetry violated on ({x}, {y})")
-        self.less = frozenset(rel)
+        self.less = _transitive_closure(list(self.elements), rel)
         if levels is not None:
             v1, v2 = frozenset(levels[0]), frozenset(levels[1])
             if v1 & v2 or (v1 | v2) != set(self.elements):
@@ -82,6 +69,16 @@ class Poset:
                     raise ValueError("two-level structure requires all relations V1 -> V2")
             levels = (v1, v2)
         self.levels = levels
+
+    def reweighted(self, elements: dict[int, Weight]) -> "Poset":
+        """The same order over the same elements with new weights, not closed again."""
+        if elements.keys() != self.elements.keys():
+            raise ValueError("reweighting must keep the element set")
+        q = object.__new__(Poset)
+        q.elements = dict(elements)
+        q.less = self.less
+        q.levels = self.levels
+        return q
 
     def predecessors(self, x: int) -> frozenset[int]:
         return frozenset(a for a, b in self.less if b == x)
@@ -96,6 +93,28 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(|X|={len(self.elements)}, |<|={len(self.less)})"
+
+
+def _transitive_closure(elements: list[int], rel: set[tuple[int, int]]) -> frozenset:
+    """Close an irreflexive relation by Warshall's algorithm over bitset rows.
+
+    Row i is the set of elements above elements[i].  A cycle, two-element
+    cycles (antisymmetry violations) included, shows as a row reaching its
+    own element.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    reach = [0] * len(elements)
+    for x, y in rel:
+        reach[index[x]] |= 1 << index[y]
+    for k in range(len(elements)):
+        bit, row_k = 1 << k, reach[k]
+        for i, row in enumerate(reach):
+            if row & bit:
+                reach[i] = row | row_k
+    for i, row in enumerate(reach):
+        if row >> i & 1:
+            raise ValueError(f"cycle through {elements[i]} breaks antisymmetry")
+    return frozenset((x, elements[j]) for x, row in zip(elements, reach) for j in iter_bits(row))
 
 
 def poset(elements, relations, levels=None) -> Poset:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._bits import balanced_product
 from .errors import ParseError, SatPolyError
 from .formulas import Formula
 from .graphs import (
@@ -258,30 +259,6 @@ def simulate_neg_weights(
 # Exact cover counting
 
 
-def _product(factors: list[int]) -> int:
-    """Multiply pairwise in rounds, so big factors meet at balanced sizes.
-
-    The 2**k leaf weights leave many trailing zero bits: they are stripped
-    from each factor first, the odd parts multiplied, and one shift at the
-    end puts them back.
-    """
-    if 0 in factors:
-        return 0
-    shift = 0
-    odd = []
-    for x in factors:
-        tz = (x & -x).bit_length() - 1
-        shift += tz
-        odd.append(x >> tz)
-    factors = odd
-    while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return (factors[0] if factors else 1) << shift
-
-
 def _simplify(
     adj: dict[int, set[int]], in_w: dict[int, int], out_w: dict[int, int]
 ) -> list[int]:
@@ -341,7 +318,7 @@ def _count_weighted(adj, in_w, out_w, memo) -> int:
             i += 1
         comp.sort()
         factors.append(_count_component(comp, adj, in_w, out_w, memo))
-    return _product(factors)
+    return balanced_product(factors)
 
 
 def _count_component(comp, adj, in_w, out_w, memo) -> int:

@@ -1,0 +1,209 @@
+"""Reference copies of earlier implementations, kept only for differential tests.
+
+Each function here is the version that computed its answer one coordinate,
+one constraint or one all-pairs pass at a time, before the easy path and the
+poset closure were rewritten.  The tests require the current code to return
+equal results and raise identical errors.  Nothing in satpoly imports this.
+"""
+
+from fractions import Fraction
+
+from satpoly.easy_eval import FactoredPoly
+from satpoly.errors import ParseError, SatPolyError
+from satpoly.formulas import Formula
+from satpoly.relations import _width2_expressible, classify, resolve_relation
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.parity = [0] * n
+
+    def find(self, v):
+        parent, parity = self.parent, self.parity
+        root, p = v, 0
+        while parent[root] != root:
+            p ^= parity[root]
+            root = parent[root]
+        acc = p
+        while parent[v] != root:
+            nxt = parent[v]
+            nxt_acc = acc ^ parity[v]
+            parent[v] = root
+            parity[v] = acc
+            v, acc = nxt, nxt_acc
+        return root, p
+
+    def union(self, u, v, rel_parity):
+        ru, pu = self.find(u)
+        rv, pv = self.find(v)
+        if ru == rv:
+            return (pu ^ pv) == rel_parity
+        if self.size[ru] > self.size[rv]:
+            ru, rv = rv, ru
+            pu, pv = pv, pu
+        self.parent[ru] = rv
+        self.parity[ru] = pu ^ pv ^ rel_parity
+        self.size[rv] += self.size[ru]
+        return True
+
+
+def easy_factor(f: Formula) -> FactoredPoly:
+    rels = list(f.relation_set)
+    if rels:
+        cls = classify(rels)
+        if not cls.is_easy:
+            raise SatPolyError(f"relation set is not easy (witness: {cls.witness})")
+    n = f.num_vars
+    uf = _UnionFind(n)
+    forcings = []
+    consistent = True
+    for rel, args in f.constraints:
+        decomp = _width2_expressible(rel)
+        if decomp is None:
+            raise SatPolyError(f"relation {rel.name} is not width-2 expressible")
+        for c in decomp:
+            kind = c[0]
+            if kind == "const0":
+                forcings.append((args[c[1]], 0))
+            elif kind == "const1":
+                forcings.append((args[c[1]], 1))
+            else:
+                u, v = args[c[1]], args[c[2]]
+                if not uf.union(u, v, 0 if kind == "eq" else 1):
+                    consistent = False
+                    break
+        if not consistent:
+            break
+    forced_value = {}
+    if consistent:
+        for var, bit in forcings:
+            root, p = uf.find(var)
+            want = bit ^ p
+            if forced_value.setdefault(root, want) != want:
+                consistent = False
+                break
+    if not consistent:
+        return FactoredPoly(n, False, frozenset(), ())
+    members = {}
+    for v in range(n):
+        root, p = uf.find(v)
+        members.setdefault(root, []).append((v, p))
+    forced_vars = set()
+    components = []
+    for root in sorted(members, key=lambda r: min(v for v, _ in members[r])):
+        group = members[root]
+        if root in forced_value:
+            rv = forced_value[root]
+            forced_vars.update(v for v, p in group if rv ^ p == 1)
+        else:
+            rep = min(v for v, _ in group)
+            _, rep_parity = uf.find(rep)
+            zero = frozenset(v for v, p in group if rep_parity ^ p == 1)
+            one = frozenset(v for v, p in group if rep_parity ^ p == 0)
+            components.append((zero, one))
+    return FactoredPoly(n, True, frozenset(forced_vars), tuple(components))
+
+
+def evaluate_factored(fp: FactoredPoly, point) -> Fraction:
+    if len(point) != fp.num_vars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {fp.num_vars}")
+    if not fp.consistent:
+        return Fraction(0)
+    pt = [Fraction(x) for x in point]
+    num, den = 1, 1
+    for v in fp.forced:
+        num *= pt[v].numerator
+        den *= pt[v].denominator
+    total = Fraction(num, den)
+    for zero, one in fp.components:
+        zn, zd, on, od = 1, 1, 1, 1
+        for v in zero:
+            zn *= pt[v].numerator
+            zd *= pt[v].denominator
+        for v in one:
+            on *= pt[v].numerator
+            od *= pt[v].denominator
+        total *= Fraction(zn * od + on * zd, zd * od)
+    return total
+
+
+def parse_point(text: str, n: int) -> list[Fraction]:
+    toks = [t for t in text.replace(",", " ").split() if t]
+    if len(toks) != n:
+        raise ParseError(f"point has {len(toks)} coordinates, formula has {n} variables")
+    try:
+        return [Fraction(t) for t in toks]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational in point: {exc}") from None
+
+
+def parse_formula_file(text, relations=None) -> Formula:
+    num_vars = None
+    declared = 0
+    constraints = []
+    used = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if num_vars is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(parts) != 4 or parts[1] != "csp":
+                raise ParseError(f"line {lineno}: expected 'p csp <vars> <constraints>'")
+            try:
+                num_vars = int(parts[2])
+                declared = int(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad header numbers") from None
+            if num_vars < 1:
+                raise ParseError(f"line {lineno}: need at least one variable")
+            continue
+        if num_vars is None:
+            raise ParseError(f"line {lineno}: constraint before header")
+        rel = resolve_relation(parts[0], relations)
+        try:
+            args = tuple(int(tok) - 1 for tok in parts[1:])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad variable index") from None
+        if len(args) != rel.rank:
+            raise ParseError(
+                f"line {lineno}: {rel.name} has rank {rel.rank}, got {len(args)} arguments"
+            )
+        if any(not 0 <= a < num_vars for a in args):
+            raise ParseError(f"line {lineno}: variable index out of range")
+        constraints.append((rel, args))
+        used.setdefault(rel)
+    if num_vars is None:
+        raise ParseError("missing 'p csp' header")
+    if len(constraints) != declared:
+        raise ParseError(f"header declares {declared} constraints, found {len(constraints)}")
+    table = None
+    if relations is not None:
+        merged = dict(relations)
+        for rel in used:
+            merged.setdefault(rel.name, rel)
+        table = tuple(merged.values())
+    return Formula(num_vars, tuple(constraints), table)
+
+
+def transitive_closure(pairs) -> frozenset:
+    """All-pairs passes until nothing changes; pairs must be irreflexive."""
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(rel):
+            for y2, z in list(rel):
+                if y == y2 and (x, z) not in rel:
+                    if x == z:
+                        raise ValueError(f"cycle through {x} breaks antisymmetry")
+                    rel.add((x, z))
+                    changed = True
+    for x, y in rel:
+        if (y, x) in rel:
+            raise ValueError(f"antisymmetry violated on ({x}, {y})")
+    return frozenset(rel)

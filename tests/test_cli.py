@@ -1,13 +1,17 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import satpoly.cli as cli
 import satpoly.formulas as formulas_mod
+from satpoly.errors import ParseError
 from satpoly.formulas import Formula, count_sat
 from satpoly.graphs import parse_graph_file
 from satpoly.implement import Implementation
@@ -18,6 +22,8 @@ from satpoly.reductions import (
     vc_to_positive2sat,
 )
 from satpoly.relations import BUILTIN_RELATIONS
+
+import reference_paths as reference
 
 
 def run_cli(capsys, *argv):
@@ -480,3 +486,84 @@ def test_missing_input_option_exits_2(capsys, argv):
     code, out, err = run_cli_err(capsys, *argv)
     assert_one_line_exit_2(code, out, err)
     assert "needs --" in err
+
+
+# ---------------------------------------------------------------------------
+# Point parsing against the per-coordinate reference
+
+
+def parse_outcome(parse, text, n):
+    try:
+        return "ok", parse(text, n)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("1,2/3, -4", 3),
+        ("1 1 1", 3),
+        (" 0,,-0/5\t7 ", 3),
+        ("1,1", 3),  # too few coordinates
+        ("1,1,1,1", 3),  # too many
+        ("", 1),
+        ("1,abc,2", 3),  # bad token
+        ("x,y,x", 3),  # two bad tokens: the first is reported
+        ("1/0,2,3", 3),  # zero denominator
+        ("2,1/0,zz", 3),  # zero denominator before a bad token
+        ("1.5,1e2,-.25", 3),
+    ],
+)
+def test_parse_point_matches_reference(text, n):
+    assert parse_outcome(cli._parse_point, text, n) == parse_outcome(
+        reference.parse_point, text, n
+    )
+
+
+@given(st.text(alphabet="0123456789/-+, .ex", max_size=24), st.integers(1, 6))
+def test_parse_point_matches_reference_on_random_text(text, n):
+    assert parse_outcome(cli._parse_point, text, n) == parse_outcome(
+        reference.parse_point, text, n
+    )
+
+
+def test_parse_point_shares_one_fraction_per_token():
+    point = cli._parse_point("1/2,3,1/2,3", 4)
+    assert point == [Fraction(1, 2), 3, Fraction(1, 2), 3]
+    assert point[0] is point[2] and point[1] is point[3]
+
+
+# ---------------------------------------------------------------------------
+# Values past the default 4300-digit int-str limit
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Run with the interpreter's default limit, as a fresh CLI process does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # no limit on this interpreter
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_eval_value_past_int_str_limit(tmp_path, capsys, default_int_str_limit):
+    n = 15_000
+    path = write(tmp_path, "free.csp", f"p csp {n} 0\n")
+    code, out = run_cli(capsys, "eval", "--formula", path, "--point", ",".join(["3"] * n))
+    assert code == 0 and out.count("\n") == 1
+    assert int(json.loads(out)["value"]) == 4**n
+
+
+def test_count_vc_past_int_str_limit(tmp_path, capsys, default_int_str_limit):
+    n = 15_000
+    lines = [f"p graph {n} 0"] + [f"v {i} 1" for i in range(1, n + 1)]
+    path = write(tmp_path, "isolated.txt", "\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "count", "vc", "--graph", path)
+    assert code == 0 and out.count("\n") == 1
+    assert int(json.loads(out)["count"]) == 2**n

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly.easy_eval import easy_evaluate, easy_factor, evaluate_factored, expand_factored
@@ -10,6 +12,7 @@ from satpoly.formulas import Formula, count_sat, eval_formula_poly, poly_of_form
 from satpoly.polynomial import MultilinearPoly
 from satpoly.relations import BUILTIN_RELATIONS, relation
 
+import reference_paths as reference
 from strategies import easy_formulas, points_for
 
 B = BUILTIN_RELATIONS
@@ -86,3 +89,94 @@ def test_easy_matches_brute_force(f, data):
 @given(easy_formulas())
 def test_expansion_matches_enumeration(f):
     assert expand_factored(easy_factor(f)) == poly_of_formula(f)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the per-coordinate, per-constraint reference
+
+EXTRA_EASY = (
+    relation("pad", 3, [(0, 1, 0), (1, 1, 1)]),  # (x2 = 1) and (x1 = x3)
+    relation("par001", 3, [(0, 0, 1), (1, 1, 0)]),  # x1 = x2 != x3
+    relation("pin101", 3, [(1, 0, 1)]),
+    relation("padne", 3, [t for t in product((0, 1), repeat=3) if t[0] != t[2]]),
+    relation("never", 1, []),
+)
+EASY_RELS = tuple(B[k] for k in ("EQ", "NE", "F", "T")) + EXTRA_EASY
+
+# points mix int, str and Fraction coordinates, zero and negative values,
+# and repeat some coordinate objects, as the CLI's parsed points do
+coordinates = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str),
+)
+
+
+@st.composite
+def easy_cases(draw, max_vars=9):
+    n = draw(st.integers(1, max_vars))
+    # a few relations per formula, so most constraints reuse a relation
+    rels = draw(st.lists(st.sampled_from(EASY_RELS), min_size=1, max_size=3))
+    cons = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        rel = draw(st.sampled_from(rels))
+        cons.append((rel, tuple(draw(st.integers(0, n - 1)) for _ in range(rel.rank))))
+    pool = draw(st.lists(coordinates, min_size=1, max_size=4))
+    point = [draw(st.sampled_from(pool)) for _ in range(n)]
+    return Formula(n, tuple(cons)), point
+
+
+def assert_matches_reference(f, point):
+    fp = easy_factor(f)
+    assert fp == reference.easy_factor(f)
+    value = evaluate_factored(fp, point)
+    assert type(value) is Fraction
+    assert value == reference.evaluate_factored(fp, point)
+
+
+@settings(max_examples=200)
+@given(easy_cases())
+def test_factor_and_value_match_reference(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "cons, point",
+    [
+        ([("EQ", (2, 2))], [0, "-1/2", F(3)]),  # repeated argument: no constraint
+        ([("NE", (2, 2))], [1, 2, 3]),  # repeated argument: inconsistent
+        ([("T", (0,)), ("NE", (0, 1)), ("EQ", (1, 2))], ["5", "5", F(-2)]),  # forced component
+        ([("F", (1,)), ("T", (1,))], [1, 1, 1]),  # inconsistent by forcing
+        ([("T", (0,)), ("T", (2,)), ("EQ", (1, 2))], [2, "3", F(5)]),  # one relation forces twice
+        ([("EQ", (0, 1)), ("NE", (1, 2)), ("EQ", (0, 2))], [1, 1, 1]),  # odd parity cycle
+        ([], [0, F(-1), "7/3"]),  # free variables, one branch vanishing
+    ],
+    ids=["eq-self", "ne-self", "forced", "forced-clash", "forced-twice", "odd-cycle", "free"],
+)
+def test_edge_cases_match_reference(cons, point):
+    f = Formula(3, tuple((B[name], args) for name, args in cons))
+    assert_matches_reference(f, point)
+
+
+def test_large_components_match_reference():
+    # component sides past the balanced-product switch, beside many small ones
+    rng = random.Random(8)
+    n = 12_000
+    cons = [(B["EQ" if rng.random() < 0.5 else "NE"], (rng.randrange(v), v)) for v in range(1, 9_000)]
+    cons += [(B["NE"], (v, v + 1)) for v in range(9_000, n - 1, 3)]
+    cons.append((B["T"], (9_000,)))
+    f = Formula(n, tuple(cons))
+    pool = [F(-2, 3), "3/2", 2, F(1, 3), "-3"]
+    point = [pool[rng.randrange(len(pool))] for _ in range(n)]
+    fp = easy_factor(f)
+    assert max(len(side) for comp in fp.components for side in comp) >= 4_096
+    assert_matches_reference(f, point)
+
+
+def test_wrong_point_length_message_matches_reference():
+    fp = easy_factor(Formula(2, ()))
+    with pytest.raises(ValueError) as new:
+        evaluate_factored(fp, [1])
+    with pytest.raises(ValueError) as old:
+        reference.evaluate_factored(fp, [1])
+    assert str(new.value) == str(old.value)

@@ -25,6 +25,7 @@ from satpoly.graphs import or2_formula_partial_perm
 from satpoly.polynomial import MultilinearPoly
 from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, xor_relation
 
+import reference_paths as reference
 from strategies import formulas, points_for
 
 B = BUILTIN_RELATIONS
@@ -330,3 +331,79 @@ def test_formula_file_errors():
         parse_formula_file("p csp 2 2\nNE 1 2\n")  # count mismatch
     with pytest.raises(ParseError):
         parse_formula_file("p csp 2 1\nNE 1\n")  # arity mismatch
+
+
+def test_relation_set_is_computed_once_and_leaves_equality_alone():
+    f = parse_formula_file(FORMULA_FILE)
+    g = parse_formula_file(FORMULA_FILE)
+    first = f.relation_set
+    assert first == (B["NE"], B["EQ"])
+    assert f.relation_set is first
+    assert f == g and hash(f) == hash(g)
+
+
+# ---------------------------------------------------------------------------
+# Formula files against the reference parser
+
+CUSTOM_RELS = "relation pin1 1\n1\nend\nrelation EQ 2\n01\n10\nend\n"
+
+
+def parse_outcome(parse, text, relations):
+    try:
+        f = parse(text, relations)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", f, f.relation_table, f.relation_set
+
+
+def assert_parse_matches_reference(text, relations):
+    assert parse_outcome(parse_formula_file, text, relations) == parse_outcome(
+        reference.parse_formula_file, text, relations
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FORMULA_FILE,
+        "# comment only\n\np csp 2 1 # trailing\n  NE 1 2#x\n",
+        "p csp 3 2\npin1 2\nEQ 1 3\n",  # names the custom table resolves
+        "NE 1 2\n",  # missing header
+        "p csp 2 1\np csp 2 1\nNE 1 2\n",  # duplicate header
+        "p csp 2\nNE 1 2\n",  # short header
+        "p cnf 2 1\nNE 1 2\n",
+        "p csp two 1\n",
+        "p csp 0 0\n",
+        "p csp 2 1\nNE 1 x\n",  # bad token
+        "p csp 2 1\nNE 1 2.0\n",
+        "p csp 2 1\nNE 1 3\n",  # index out of range
+        "p csp 2 1\nNE 0 2\n",
+        "p csp 2 1\nNE -1 2\n",
+        "p csp 2 1\nNE 1\n",  # wrong arity
+        "p csp 2 1\nT 1 2\n",
+        "p csp 2 2\nNE 1 2\n",  # count mismatch
+        "p csp 2 0\nNE 1 2\n",
+        "p csp 2 1\nNOPE 1 2\n",  # unknown relation
+        "p csp 2 2\nNE 1 2\nNOPE 1 2\n",
+        "p csp 4 3\nxor3_1 1 2 3\nxor3_1 2 3 4\nNE 1 4\n",
+        "",
+    ],
+)
+@pytest.mark.parametrize("with_table", [False, True])
+def test_formula_file_matches_reference(text, with_table):
+    assert_parse_matches_reference(text, parse_relation_file(CUSTOM_RELS) if with_table else None)
+
+
+formula_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["NE", "EQ", "T", "pin1", "OR0", "xor3_0", "bad", "p"]),
+        st.lists(st.sampled_from(["1", "2", "3", "0", "4", "-1", "x", "csp", "#"]), max_size=4),
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+    st.sampled_from(["", "# c", "p csp 3 2", "p csp 3 1"]),
+)
+
+
+@given(st.lists(formula_lines, max_size=6), st.booleans())
+def test_formula_file_matches_reference_on_random_files(lines, with_table):
+    text = "\n".join(["p csp 3 2", *lines]) + "\n"
+    assert_parse_matches_reference(text, parse_relation_file(CUSTOM_RELS) if with_table else None)

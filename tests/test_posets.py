@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpoly.errors import ParseError
@@ -22,6 +22,8 @@ from satpoly.posets import (
     poset_from_bipartite,
     weighted_bijection,
 )
+
+import reference_paths as reference
 
 F = Fraction
 
@@ -205,3 +207,54 @@ def test_poset_file_errors():
         parse_poset_file("p poset 2\nv 1 1\nv 2 1\nr 1 2\nr 2 1\n")
     with pytest.raises(ParseError):
         parse_poset_file("v 1 1\n")
+
+
+# ---------------------------------------------------------------------------
+# Bitset closure against the all-pairs fixpoint reference
+
+
+@st.composite
+def labelled_dags(draw, max_elements=12):
+    n = draw(st.integers(1, max_elements))
+    labels = draw(st.permutations(range(10, 10 + n)))  # topological order is not label order
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return labels, [(labels[i], labels[j]) for (i, j), k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=100)
+@given(labelled_dags())
+def test_closure_matches_reference_on_dags(dag):
+    labels, rel = dag
+    p = Poset({x: F(1) for x in labels}, rel)
+    assert p.less == reference.transitive_closure(rel)
+
+
+@given(labelled_dags(), st.data())
+def test_cycles_raise_like_reference(dag, data):
+    labels, rel = dag
+    assume(rel)
+    x, y = data.draw(st.sampled_from(rel))
+    cyclic = [*rel, (y, x)]  # a back edge closes a cycle through x and y
+    with pytest.raises(ValueError, match="cycle through") as new:
+        Poset({v: F(1) for v in labels}, cyclic)
+    with pytest.raises(ValueError, match="cycle through"):
+        reference.transitive_closure(cyclic)
+    culprit = int(str(new.value).split()[2])  # "cycle through <x> breaks antisymmetry"
+    closed = reference.transitive_closure(rel)
+    assert culprit in (x, y) or {(x, culprit), (culprit, y)} <= closed  # it lies on the cycle
+
+
+def test_closure_of_long_chain():
+    n = 160
+    p = Poset({x: F(1) for x in range(n)}, [(x, x + 1) for x in range(n - 1)])
+    assert len(p.less) == n * (n - 1) // 2 and (0, n - 1) in p.less
+
+
+def test_reweighted_keeps_the_closed_order():
+    p = poset({0: -1, 1: -1, 2: Var(0)}, [(0, 2), (1, 2)], (frozenset({0, 1}), frozenset({2})))
+    unit = p.reweighted(dict.fromkeys(p.elements, F(1)))
+    assert unit.less is p.less and unit.levels == p.levels
+    assert set(unit.elements.values()) == {F(1)} and p.elements[2] == Var(0)
+    with pytest.raises(ValueError):
+        p.reweighted({0: F(1)})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from satpoly._bits import balanced_product
 from satpoly.errors import SatPolyError
 from satpoly.formulas import count_sat
 from satpoly.graphs import two_coloring, vcp, weighted_graph
@@ -15,7 +16,6 @@ from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
     _component_key,
-    _product,
     UnweightedGraph,
     brute_count_vertex_covers,
     count_vertex_covers,
@@ -523,10 +523,10 @@ PRODUCT_CASES = {
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
 def test_product_matches_math_prod(name):
     factors = PRODUCT_CASES[name]
-    assert _product(list(factors)) == math.prod(factors)
+    assert balanced_product(list(factors)) == math.prod(factors)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1 << 80), st.integers(0, 300)), max_size=12))
 def test_product_matches_math_prod_random(parts):
     factors = [x << k for x, k in parts]
-    assert _product(factors) == math.prod(factors)
+    assert balanced_product(factors) == math.prod(factors)
