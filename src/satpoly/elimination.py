@@ -26,12 +26,16 @@ from .relations import Relation
 Factor = tuple[tuple[int, ...], list[int]]
 
 
-def min_degree_order(num_vars: int, scopes: Iterable[Sequence[int]]) -> tuple[list[int], int]:
-    """A min-degree elimination order of variables 0..num_vars-1, and its width.
+def min_degree_order(
+    num_vars: int, scopes: Iterable[Sequence[int]]
+) -> tuple[list[int], int, int]:
+    """A min-degree elimination order of variables 0..num_vars-1, its width and its cost.
 
-    The heap holds (degree, vertex) entries; an entry whose degree is no
-    longer current is dropped when popped, so no step scans for the next
-    vertex.  Ties go to the lowest index.
+    The cost is the sum of 2**(degree + 1) over the eliminated variables:
+    the number of entries of the joint tables weighted_count builds along
+    the order.  The heap holds (degree, vertex) entries; an entry whose
+    degree is no longer current is dropped when popped, so no step scans
+    for the next vertex.  Ties go to the lowest index.
     """
     adj: list[set[int]] = [set() for _ in range(num_vars)]
     for scope in scopes:
@@ -43,7 +47,7 @@ def min_degree_order(num_vars: int, scopes: Iterable[Sequence[int]]) -> tuple[li
     heapq.heapify(heap)
     done = [False] * num_vars
     order: list[int] = []
-    width = 0
+    width = cost = 0
     while heap:
         degree, v = heapq.heappop(heap)
         if done[v] or degree != len(adj[v]):
@@ -51,6 +55,7 @@ def min_degree_order(num_vars: int, scopes: Iterable[Sequence[int]]) -> tuple[li
         done[v] = True
         order.append(v)
         width = max(width, degree)
+        cost += 2 << degree
         nbrs = adj[v]
         for u in nbrs:
             fill = adj[u]
@@ -58,7 +63,7 @@ def min_degree_order(num_vars: int, scopes: Iterable[Sequence[int]]) -> tuple[li
             fill.update(nbrs)  # the neighbours of v become a clique
             fill.discard(u)
             heapq.heappush(heap, (len(fill), u))
-    return order, width
+    return order, width, cost
 
 
 def constraint_factor(rel: Relation, args: Sequence[int]) -> Factor:

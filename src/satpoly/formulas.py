@@ -3,14 +3,17 @@
 The polynomial of a formula sums one monomial per satisfying assignment,
 the monomial collecting the variables assigned 1.  Evaluating that
 polynomial at all-ones recovers the model count.  Counting and evaluation
-take one of three exact routes, by the number of constrained variables:
+take one of three exact routes, chosen by predicted cost:
 
-- up to _TABLE_VARS, a bit-parallel truth table: the satisfying set is a
-  big integer, counted by popcount, and evaluation at a rational point
-  folds it one variable at a time;
-- above it, variable elimination (satpoly.elimination) when the formula's
+- variable elimination (satpoly.elimination) when the formula's
   min-degree elimination width is at most _ELIM_WIDTH, the width where
-  elimination stopped beating the search on 23-30-variable formulas;
+  elimination stopped beating the search on 23-30-variable formulas, and,
+  at most _TABLE_VARS constrained variables, when _ELIM_COST_RATIO times
+  the order's cost (the entries of the tables it builds) is below the
+  2**m entries of the truth table;
+- otherwise, up to _TABLE_VARS constrained variables, a bit-parallel truth
+  table: the satisfying set is a big integer, counted by popcount, and
+  evaluation at a rational point folds it one variable at a time;
 - otherwise a depth-first search over the models.
 
 Numerators and denominators are carried separately as integers, so every
@@ -27,15 +30,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._bits import iter_bits, table_full, table_var
+from ._bits import table_full, table_var
 from .elimination import constraint_factor, min_degree_order, weighted_count
-from .errors import BoundExceeded, ParseError
+from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .polynomial import MultilinearPoly
 from .relations import Relation, parity_constant, resolve_relation
 
 MAX_ENUM_VARS = 30  # hard ceiling for exact enumeration
 _TABLE_VARS = 22  # above this, eliminate variables or search depth-first
 _ELIM_WIDTH = 11  # widest min-degree order eliminated; wider formulas search depth-first
+# Time of one elimination table entry over one truth-table entry (build
+# plus popcount or fold): the median break-even ratio was 29-51 on
+# 12-22-variable formulas of width 3-11, for counts, small and 6-digit
+# points, and 32 came within 4% of the best routing's summed time
+_ELIM_COST_RATIO = 32
 
 Constraint = tuple[Relation, tuple[int, ...]]
 
@@ -139,6 +147,20 @@ def _sat_table(f: Formula, cvars: list[int]) -> int:
     return table
 
 
+def _table_bits(table: int, m: int) -> np.ndarray:
+    """The 2**m entries of a truth table over m variables, as a 0/1 uint8 array."""
+    nbytes = max(1, ((1 << m) + 7) >> 3)
+    return np.unpackbits(
+        np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
+        bitorder="little",
+    )[: 1 << m]
+
+
+def _table_models(table: int, m: int) -> list[int]:
+    """The set entries of a truth table over m variables, ascending, in one pass."""
+    return np.flatnonzero(_table_bits(table, m)).tolist()
+
+
 def _sat_assignments_dfs(f: Formula, cvars: list[int]):
     """Yield satisfying assignments (as bitmasks over cvars) by backtracking."""
     pos = {v: i for i, v in enumerate(cvars)}
@@ -170,12 +192,14 @@ def _eliminate(f: Formula, cvars: list[int], weights: list[tuple[int, int]]) -> 
     """Weighted model count over cvars by variable elimination.
 
     weights[i] = (w0, w1) weighs cvars[i] at 0 and at 1.  Returns None
-    when the min-degree order is wider than _ELIM_WIDTH.
+    when the min-degree order is wider than _ELIM_WIDTH, or when the
+    formula fits a truth table that costs less than the order predicts.
     """
+    m = len(cvars)
     pos = {v: i for i, v in enumerate(cvars)}
     local = [(rel, [pos[a] for a in args]) for rel, args in f.constraints]
-    order, width = min_degree_order(len(cvars), (args for _, args in local))
-    if width > _ELIM_WIDTH:
+    order, width, cost = min_degree_order(m, (args for _, args in local))
+    if width > _ELIM_WIDTH or (m <= _TABLE_VARS and _ELIM_COST_RATIO * cost >= 1 << m):
         return None
     return weighted_count((constraint_factor(rel, args) for rel, args in local), weights, order)
 
@@ -186,11 +210,11 @@ def count_sat(f: Formula) -> int:
         raise BoundExceeded(f"count_sat is limited to {MAX_ENUM_VARS} variables")
     cvars = _constrained_vars(f)
     free = f.num_vars - len(cvars)
-    if len(cvars) <= _TABLE_VARS:
-        n_sat = _sat_table(f, cvars).bit_count()
-    else:
-        n_sat = _eliminate(f, cvars, [(1, 1)] * len(cvars))
-        if n_sat is None:
+    n_sat = _eliminate(f, cvars, [(1, 1)] * len(cvars))
+    if n_sat is None:
+        if len(cvars) <= _TABLE_VARS:
+            n_sat = _sat_table(f, cvars).bit_count()
+        else:
             n_sat = sum(1 for _ in _sat_assignments_dfs(f, cvars))
     return n_sat << free
 
@@ -201,8 +225,7 @@ def poly_of_formula(f: Formula) -> MultilinearPoly:
         raise BoundExceeded(f"poly_of_formula is limited to {MAX_ENUM_VARS} variables")
     cvars = _constrained_vars(f)
     if len(cvars) <= _TABLE_VARS:
-        table = _sat_table(f, cvars)
-        local_masks = iter_bits(table)
+        local_masks = _table_models(_sat_table(f, cvars), len(cvars))
     else:
         local_masks = _sat_assignments_dfs(f, cvars)
     terms: dict[int, Fraction] = {}
@@ -234,12 +257,7 @@ def _fold_table(table: int, weights: list[tuple[int, int]]) -> int:
     passes run in vectorized int64 while that running bound fits; the
     2**(m-k) entries left then finish in Python integers.
     """
-    m = len(weights)
-    nbytes = max(1, ((1 << m) + 7) >> 3)
-    a = np.unpackbits(
-        np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )[: 1 << m].astype(np.int64)
+    a = _table_bits(table, len(weights)).astype(np.int64)
     bound = 1
     k = 0
     for p, q in weights:
@@ -270,11 +288,11 @@ def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:
     if not cvars:
         return factor
     weights = [(pt[v].numerator, pt[v].denominator) for v in cvars]
-    if len(cvars) <= _TABLE_VARS:
-        total = _fold_table(_sat_table(f, cvars), weights)
-    else:
-        total = _eliminate(f, cvars, [(q, p) for p, q in weights])
-        if total is None:
+    total = _eliminate(f, cvars, [(q, p) for p, q in weights])
+    if total is None:
+        if len(cvars) <= _TABLE_VARS:
+            total = _fold_table(_sat_table(f, cvars), weights)
+        else:
             total = 0
             for local in _sat_assignments_dfs(f, cvars):
                 prod = 1
@@ -304,6 +322,8 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
         parts = line.split()
         if not parts:
             continue
+        if len(line) > MAX_INT_CHARS:  # only a line this long can hold an overlong token
+            check_int_chars(parts[1:], lineno)
         name = parts[0]
         if name == "p":
             if num_vars is not None:

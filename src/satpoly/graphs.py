@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import BoundExceeded, ParseError
+from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .formulas import Formula
 from .polynomial import MultilinearPoly
 from .relations import BUILTIN_RELATIONS
@@ -398,6 +398,8 @@ def or2_formula_partial_perm(n: int) -> Formula:
 
 def parse_weight(tok: str) -> Weight:
     if tok[:1] == "X":
+        if len(tok) > MAX_INT_CHARS + 1:
+            raise ParseError(f"symbol index of {len(tok) - 1} characters (at most {MAX_INT_CHARS})")
         try:
             k = int(tok[1:])
         except ValueError:
@@ -418,7 +420,8 @@ def format_weight(w: Weight) -> str:
 
 
 def parse_ints(tokens, lineno: int) -> list[int]:
-    """Decimal integers of one input line; a bad token is a ParseError."""
+    """Decimal integers of one input line; a bad or overlong token is a ParseError."""
+    check_int_chars(tokens, lineno)
     try:
         return [int(tok) for tok in tokens]
     except ValueError:

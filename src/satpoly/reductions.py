@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._bits import balanced_product
-from .errors import ParseError, SatPolyError
+from .errors import MAX_INT_CHARS, ParseError, SatPolyError, check_int_chars
 from .formulas import Formula
 from .graphs import (
     WeightedGraph,
@@ -549,7 +549,10 @@ def parse_instance_file(text: str) -> ReductionInstance:
         elif parts[0] == "modulus":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'modulus <N>'")
-            modulus = parse_ints(parts[1:], lineno)[0]
+            try:  # a modulus 2**v + 1 can run past MAX_INT_CHARS digits
+                modulus = int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected integers, got {parts[1]!r}") from None
         else:
             raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None or modulus is None:
@@ -564,10 +567,12 @@ def parse_instance_file(text: str) -> ReductionInstance:
 
 def parse_matrix_file(text: str) -> list[list[int]]:
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(line) > MAX_INT_CHARS:
+            check_int_chars(line.split(), lineno)
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional
 
-from .errors import ParseError
+from .errors import MAX_INT_CHARS, ParseError, check_int_chars
 
 MAX_RANK = 16
 
@@ -245,8 +245,11 @@ def resolve_relation(name: str, table: Optional[dict[str, Relation]] = None) -> 
     if name in BUILTIN_RELATIONS:
         return BUILTIN_RELATIONS[name]
     m = _XOR_NAME.match(name)
-    if m:
-        return xor_relation(int(m.group(1)), int(m.group(2)))
+    if m and len(m.group(1)) <= MAX_INT_CHARS:
+        try:
+            return xor_relation(int(m.group(1)), int(m.group(2)))
+        except ValueError as exc:
+            raise ParseError(f"relation {name!r}: {exc}") from None
     raise ParseError(f"unknown relation {name!r}")
 
 
@@ -276,6 +279,7 @@ def parse_relation_file(text: str) -> dict[str, Relation]:
             name = parts[1]
             if name in table:
                 raise ParseError(f"line {lineno}: duplicate relation {name!r}")
+            check_int_chars(parts[2:], lineno)
             try:
                 rank = int(parts[2])
             except ValueError:

@@ -28,7 +28,15 @@ from .affine import (
 )
 from .easy_eval import easy_evaluate, easy_factor, expand_factored
 from .elimination import min_degree_order
-from .formulas import _ELIM_WIDTH, Formula, count_sat, eval_formula_poly, poly_of_formula
+from .formulas import (
+    _ELIM_COST_RATIO,
+    _ELIM_WIDTH,
+    _TABLE_VARS,
+    Formula,
+    count_sat,
+    eval_formula_poly,
+    poly_of_formula,
+)
 from .graphs import (
     Var,
     WeightedGraph,
@@ -492,12 +500,16 @@ def _check_formula_polynomials(rng: random.Random) -> str:
 
 
 def _check_elimination_vs_enumeration(rng: random.Random) -> str:
+    # poly_of_formula lists the models by truth table up to _TABLE_VARS and
+    # depth-first above, so elimination is checked against both
     models = 0
-    for n in (23, 24, 25, 26):
+    for n in (20, 22, 23, 24, 25, 26):
         for _ in range(5):
             f = gen.random_banded_formula(rng, n)
-            width = min_degree_order(n, (args for _, args in f.constraints))[1]
+            _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
             assert width <= _ELIM_WIDTH, f"banded formula of width {width}"
+            if n <= _TABLE_VARS:
+                assert _ELIM_COST_RATIO * cost < 1 << n, f"banded formula of cost {cost}"
             n_sat = count_sat(f)
             poly = poly_of_formula(f)
             assert len(poly.terms) == n_sat, "elimination count differs from the models listed"
@@ -509,7 +521,7 @@ def _check_elimination_vs_enumeration(rng: random.Random) -> str:
                 "all-ones evaluation is not the model count"
             )
             models += n_sat
-    return f"20 banded formulas of 23-26 variables, {models} models listed"
+    return f"30 banded formulas of 20-26 variables, {models} models listed"
 
 
 def _check_homogeneous_components(rng: random.Random) -> str:

@@ -567,3 +567,44 @@ def test_count_vc_past_int_str_limit(tmp_path, capsys, default_int_str_limit):
     code, out = run_cli(capsys, "count", "vc", "--graph", path)
     assert code == 0 and out.count("\n") == 1
     assert int(json.loads(out)["count"]) == 2**n
+
+
+LONG = "9" * 400_000  # int() of it alone takes about a second
+LONG_TOKEN_INPUTS = {
+    # name: (subcommand, input option, file text)
+    "formula-index": (["count", "sat"], "--formula", f"p csp 3 1\nNE 1 {LONG}\n"),
+    "formula-header": (["count", "sat"], "--formula", f"p csp {LONG} 1\nNE 1 2\n"),
+    "relation-rank": (["classify"], "--relations", f"relation R {LONG}\n1\nend\n"),
+    "graph-edge": (["count", "vc"], "--graph", f"p graph 2 1\nv 1 1\nv 2 1\ne 1 {LONG}\n"),
+    "graph-symbol": (["count", "vc"], "--graph", f"p graph 1 0\nv 1 X{LONG}\n"),
+    "poset-element": (["count", "ideals"], "--poset", f"p poset 2\nv {LONG} 1\nv 2 1\n"),
+    "matrix-entry": (["reduce", "perm-to-vc"], "--matrix", f"1 0\n0 {LONG}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TOKEN_INPUTS))
+def test_overlong_integer_token_is_rejected_before_conversion(tmp_path, capsys, name):
+    cmd, option, text = LONG_TOKEN_INPUTS[name]
+    path = write(tmp_path, "input.txt", text)
+    code = cli.main([*cmd, option, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "400000 characters (at most 4300)" in captured.err
+
+
+def test_long_point_coordinate_is_still_read(tmp_path, capsys):
+    # point coordinates stay uncapped: OR0(x1, x2) at (x, 1) is x + 1 + x
+    path = write(tmp_path, "f.csp", "p csp 2 1\nOR0 1 2\n")
+    coord = "7" * 5000
+    code, out = run_cli(capsys, "eval", "--formula", path, "--point", f"{coord},1")
+    assert code == 0
+    assert Fraction(json.loads(out)["value"]) == 2 * int(coord) + 1
+
+
+@pytest.mark.parametrize("name", ["xor99_1", "xor0_1"])
+def test_xor_name_out_of_range_is_a_parse_error(tmp_path, capsys, name):
+    path = write(tmp_path, "f.csp", f"p csp 2 1\n{name} 1 2\n")
+    code = cli.main(["count", "sat", "--formula", path])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"parse error: relation {name!r}: xor arity must be in [1, 16]\n"

@@ -13,17 +13,30 @@ B = BUILTIN_RELATIONS
 
 def test_min_degree_order_path_and_clique():
     path = [(i, i + 1) for i in range(9)]
-    order, width = min_degree_order(10, path)
+    order, width, _ = min_degree_order(10, path)
     assert sorted(order) == list(range(10)) and width == 1
     clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     assert min_degree_order(6, clique)[1] == 5
-    assert min_degree_order(4, []) == ([0, 1, 2, 3], 0)
+    assert min_degree_order(4, []) == ([0, 1, 2, 3], 0, 8)
+
+
+def test_min_degree_order_cost_is_the_joint_table_entries():
+    # each eliminated variable of degree d builds a joint table of 2**(d + 1) entries
+    path = [(i, i + 1) for i in range(9)]
+    assert min_degree_order(10, path)[2] == 9 * 4 + 2
+    # the leaves go first; the hub and the last leaf then both have degree 1
+    star = [(0, i) for i in range(1, 6)]
+    assert min_degree_order(6, star) == ([1, 2, 3, 4, 0, 5], 1, 4 * 4 + 4 + 2)
+    clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert min_degree_order(6, clique)[2] == 64 + 32 + 16 + 8 + 4 + 2
+    # a scope of three variables joins them all
+    assert min_degree_order(3, [(0, 1, 2)]) == ([0, 1, 2], 2, 8 + 4 + 2)
 
 
 def test_min_degree_order_counts_fill_edges():
     # a 4-cycle: eliminating any vertex joins its two neighbours
     cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    order, width = min_degree_order(4, cycle)
+    order, width, _ = min_degree_order(4, cycle)
     assert order[0] == 0 and width == 2
 
 
@@ -31,7 +44,7 @@ def test_min_degree_order_drops_stale_entries():
     # a star with one pendant path: the hub's degree falls as leaves go,
     # leaving stale heap entries behind; each vertex is ordered once
     star = [(0, i) for i in range(1, 6)] + [(5, 6), (6, 7)]
-    order, width = min_degree_order(8, star)
+    order, width, _ = min_degree_order(8, star)
     assert sorted(order) == list(range(8))
     assert width == 1
     assert order.index(0) > order.index(1)
@@ -80,7 +93,7 @@ def applied_constraints(draw, max_vars=7):
 @given(applied_constraints())
 def test_weighted_count_matches_enumeration(case):
     n, cons, weights = case
-    order, _ = min_degree_order(n, (args for _, args in cons))
+    order = min_degree_order(n, (args for _, args in cons))[0]
     factors = [constraint_factor(rel, args) for rel, args in cons]
     assert weighted_count(factors, weights, order) == brute_weighted_count(n, cons, weights)
 

@@ -12,6 +12,7 @@ from satpoly.formulas import (
     _INT64_SAFE,
     Formula,
     _fold_table,
+    _table_models,
     count_sat,
     eval_assignment,
     eval_formula_poly,
@@ -165,6 +166,25 @@ def test_fold_table_matches_python_fold(name):
         assert _fold_table(table, weights) == python_fold(table, weights)
 
 
+@st.composite
+def tables(draw, max_vars=8):
+    m = draw(st.integers(0, max_vars))
+    full = (1 << (1 << m)) - 1
+    return m, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+
+
+@given(tables())
+def test_table_models_match_iter_bits(case):
+    m, table = case
+    assert _table_models(table, m) == list(iter_bits(table))
+
+
+def test_table_models_edge_cases():
+    assert _table_models(0, 0) == [] and _table_models(1, 0) == [0]
+    assert _table_models((1 << (1 << 10)) - 1, 10) == list(range(1 << 10))
+    assert _table_models(1 << ((1 << 12) - 1), 12) == [(1 << 12) - 1]
+
+
 weights_st = st.tuples(
     st.one_of(st.integers(-9, 9), st.integers(-(1 << 40), 1 << 40)),
     st.one_of(st.integers(1, 9), st.integers(1, 1 << 40)),
@@ -180,18 +200,24 @@ def test_fold_table_random(weights, data):
 six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
 
 
-def three_routes(fn, f, *args):
-    """fn's result on the truth table, on variable elimination and on the DFS.
+def fail(name):
+    return mock.patch.object(formulas_mod, name, side_effect=AssertionError)
 
-    _TABLE_VARS = 0 sends every formula past the table; _ELIM_WIDTH = -1
-    then sends it past elimination too.  The elimination route must not
-    reach the DFS.
+
+def three_routes(fn, f, *args):
+    """fn's result on the truth table, on variable elimination and on the DFS, each forced.
+
+    _ELIM_WIDTH = -1 turns elimination off, so a formula within _TABLE_VARS
+    takes the table; _TABLE_VARS = -1 sends every formula, even one with no
+    constrained variable, past the table and its cost test, to elimination
+    or, with _ELIM_WIDTH = -1 too, to the DFS.  No route reaches another.
     """
-    table = fn(f, *args)
-    with mock.patch.object(formulas_mod, "_TABLE_VARS", 0):
-        with mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError):
+    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1), fail("_sat_assignments_dfs"):
+        table = fn(f, *args)
+    with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"):
+        with fail("_sat_assignments_dfs"):
             elim = fn(f, *args)
-        with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+        with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1), fail("weighted_count"):
             dfs = fn(f, *args)
     return table, elim, dfs
 
@@ -270,13 +296,51 @@ def banded_formula(rng, n, window=6, density=1.5):
     return Formula(n, tuple(cons))
 
 
+def six_digit_point(rng, n):
+    return [F(rng.choice((-1, 1)) * rng.randint(100_000, 999_999), rng.randint(100_000, 999_999))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_banded_formulas_within_the_table_limit_are_eliminated(n):
+    # their min-degree orders cost far less than a 2**n-entry table
+    rng = random.Random(f"banded-table/{n}")
+    f = banded_formula(rng, n)
+    small = [F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
+    big = six_digit_point(rng, n)
+    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+        elim = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
+    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+        table = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
+    assert elim == table and elim[0] > 0
+
+
+def test_dense_formula_whose_order_costs_more_than_its_table_takes_the_table():
+    # OR0 on every pair of 12 variables: at most one variable is 0.  The
+    # width, 11, is within _ELIM_WIDTH, so the cost alone sends it to the table
+    n = 12
+    f = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
+    _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
+    assert width <= formulas_mod._ELIM_WIDTH
+    assert formulas_mod._ELIM_COST_RATIO * cost >= 1 << n
+    table = mock.Mock(wraps=formulas_mod._sat_table)
+    with fail("weighted_count"), fail("_sat_assignments_dfs"), \
+            mock.patch.object(formulas_mod, "_sat_table", table):
+        assert count_sat(f) == n + 1
+        point = [F(i + 1) for i in range(n)]
+        all_ones = 1
+        for x in point:
+            all_ones *= x
+        assert eval_formula_poly(f, point) == all_ones * (1 + sum(1 / x for x in point))
+    assert table.call_count == 2
+
+
 @pytest.mark.parametrize("n", range(23, 29))
 def test_elimination_matches_dfs_on_banded_formulas(n):
     rng = random.Random(f"banded/{n}")
     f = banded_formula(rng, n)
-    point = [F(rng.choice((-1, 1)) * rng.randint(100_000, 999_999), rng.randint(100_000, 999_999))
-             for _ in range(n)]
-    with mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError):
+    point = six_digit_point(rng, n)
+    with fail("_sat_assignments_dfs"):
         elim = count_sat(f), eval_formula_poly(f, point)
     with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
         dfs = count_sat(f), eval_formula_poly(f, point)

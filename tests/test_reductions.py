@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpoly._bits import balanced_product
-from satpoly.errors import SatPolyError
+from satpoly.errors import ParseError, SatPolyError
 from satpoly.formulas import count_sat
 from satpoly.graphs import two_coloring, vcp, weighted_graph
 from satpoly.posets import poset
@@ -186,6 +187,27 @@ def test_instance_file_roundtrip():
     assert again.provenance == inst.provenance
     assert count_vertex_covers(again.graph) == count_vertex_covers(inst.graph)
     assert format_instance_file(again) == text
+
+
+def test_instance_file_caps_ids_but_not_the_modulus():
+    text = format_instance_file(emit_instance([[1, 1], [1, 1]]))
+    long = "9" * 400_000
+    for old, new in (("p graph ", f"p graph {long}"), ("\nv 1 ", f"\nv {long} "),
+                     ("\ne 1 ", f"\ne 1{long} ")):
+        assert old in text
+        with pytest.raises(ParseError, match=r"of 40000\d characters \(at most 4300\)"):
+            parse_instance_file(text.replace(old, new, 1))
+    modulus = 10**5000 + 1  # longer than any index, as emitted moduli 2**v + 1 get
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        lines = text.splitlines()
+        lines = [f"modulus {modulus}" if ln.startswith("modulus ") else ln for ln in lines]
+        assert parse_instance_file("\n".join(lines) + "\n").modulus == modulus
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # sha256 of format_instance_file(emit_instance(matrix, bipartite)), recorded
