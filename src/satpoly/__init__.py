@@ -25,8 +25,6 @@ from .graphs import (
     build_partial_perm_graph,
     incidence_transform,
     ip,
-    or0_formula_of_graph,
-    or2_formula_partial_perm,
     partial_permanent,
     permanent,
     vcp,
@@ -47,7 +45,6 @@ from .posets import (
     antichain_poly,
     ideal_poly,
     maximal_elements,
-    or1_formula_of_poset,
     poset,
     poset_from_bipartite,
     weighted_bijection,

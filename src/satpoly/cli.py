@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from ._bits import iter_bits
 from .easy_eval import easy_factor, evaluate_factored
 from .errors import BoundExceeded, ParseError, SatPolyError
 from .formulas import (
@@ -27,7 +26,7 @@ from .formulas import (
 )
 from .graphs import parse_graph_file
 from .implement import Implementation, certificate, certificate_ok, search_implementation
-from .polynomial import MultilinearPoly, serialize_poly
+from .polynomial import MultilinearPoly, canonical_terms, serialize_poly
 from .posets import parse_poset_file
 from .reductions import (
     UnweightedGraph,
@@ -92,10 +91,7 @@ def _width2_json(c) -> dict:
 
 
 def _poly_json(p: MultilinearPoly) -> dict:
-    terms = []
-    for mask in sorted(p.terms, key=lambda m: (m.bit_count(), tuple(iter_bits(m)))):
-        terms.append([str(p.terms[mask]), [i + 1 for i in iter_bits(mask)]])
-    return {"num_vars": p.num_vars, "terms": terms}
+    return {"num_vars": p.num_vars, "terms": [[str(c), idx] for idx, c in canonical_terms(p)]}
 
 
 def _load_formula(args) -> Formula:
@@ -176,16 +172,12 @@ def _cmd_count(args) -> int:
         n = count_vertex_covers(UnweightedGraph(g.vertices, g.plain_edges(), g.loops()))
         _emit({"kind": kind, "count": str(n)})
         return 0
+    # an ideal's maximal elements form an antichain and every antichain
+    # closes downward to one ideal, so one ideal count serves both kinds; the
+    # encoder pads an empty poset to one free variable, whose one ideal is empty
     p = parse_poset_file(_read(args.poset))
-    if kind == "ideals":
-        # the encoder pads an empty poset to one free variable; its one ideal is the empty set
-        n = count_sat(ideal_to_implicative2sat(p)) if p.elements else 1
-        _emit({"kind": "ideals", "count": str(n)})
-    else:
-        from .posets import antichain_poly
-
-        unit = p.reweighted(dict.fromkeys(p.elements, Fraction(1)))
-        _emit({"kind": "antichains", "count": str(antichain_poly(unit).as_fraction())})
+    n = count_sat(ideal_to_implicative2sat(p)) if p.elements else 1
+    _emit({"kind": kind, "count": str(n)})
     return 0
 
 

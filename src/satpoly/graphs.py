@@ -22,9 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
-from .formulas import Formula
 from .polynomial import MultilinearPoly
-from .relations import BUILTIN_RELATIONS
 
 
 @dataclass(frozen=True)
@@ -354,39 +352,6 @@ def bipartize(g: WeightedGraph) -> WeightedGraph:
     even number of them).
     """
     return incidence_transform(incidence_transform(g))
-
-
-def or0_formula_of_graph(g: WeightedGraph) -> Formula:
-    """Positive-2-clause formula whose satisfying sets are the covers of g.
-
-    One OR0 constraint per edge, one variable per vertex in sorted id
-    order; with symbolic weights matching that order the formula's
-    polynomial equals the cover polynomial.
-    """
-    if g.loops():
-        raise ValueError("encoding requires a loop-free graph")
-    order = {v: i for i, v in enumerate(sorted(g.vertices))}
-    rel = BUILTIN_RELATIONS["OR0"]
-    constraints = [(rel, (order[u], order[v])) for u, v in g.plain_edges()]
-    return Formula(max(len(g.vertices), 1), tuple(constraints))
-
-
-def or2_formula_partial_perm(n: int) -> Formula:
-    """Negative-2-clause formula accepting the n x n partial-matching matrices.
-
-    Clauses forbid two ones in a row or in a column; the polynomial is the
-    n x n partial permanent in the variables X_(i*n+j).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    rel = BUILTIN_RELATIONS["OR2"]
-    constraints = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                constraints.append((rel, (i * n + j, i * n + k)))
-                constraints.append((rel, (j * n + i, k * n + i)))
-    return Formula(n * n, tuple(constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from itertools import product
 
 from ._bits import table_full, table_var
 from .errors import BoundExceeded
-from .formulas import Constraint, Formula
+from .formulas import Constraint, Formula, _constraint_table
 from .relations import Relation, _pack
 
 
@@ -136,15 +136,7 @@ def search_implementation(
         first_atom: dict[int, Constraint] = {}  # table -> first atom with it
         for rel in using:
             for args in product(range(t), repeat=rel.rank):
-                table = 0
-                for tup in rel.accepted:
-                    m = full
-                    for bit, a in zip(tup, args):
-                        m &= bases[a] if bit else ~bases[a] & full
-                        if not m:
-                            break
-                    table |= m
-                first_atom.setdefault(table, (rel, args))
+                first_atom.setdefault(_constraint_table(rel, args, bases, full), (rel, args))
         tables = list(first_atom)
         atoms = list(first_atom.values())
         # selector for the extensions of each function-variable assignment

@@ -68,9 +68,6 @@ class MultilinearPoly:
     def degree(self) -> int:
         return max((m.bit_count() for m in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def as_fraction(self) -> Fraction:
         """Value of a constant polynomial."""
         nonconst = [m for m in self.terms if m]
@@ -258,11 +255,15 @@ def linear_coefficient(evaluator: Evaluator, num_vars: int, var_index: int) -> E
 # (degree, index tuple) so serialization is canonical.
 
 
+def canonical_terms(p: MultilinearPoly) -> list[tuple[list[int], Fraction]]:
+    """(1-based variable indices, coefficient) per term, by degree then indices."""
+    terms = [([i + 1 for i in iter_bits(mask)], c) for mask, c in p.terms.items()]
+    terms.sort(key=lambda t: (len(t[0]), t[0]))
+    return terms
+
+
 def serialize_poly(p: MultilinearPoly) -> str:
-    lines = []
-    for mask in sorted(p.terms, key=lambda m: (m.bit_count(), tuple(iter_bits(m)))):
-        idx = " ".join(str(i + 1) for i in iter_bits(mask))
-        lines.append(f"{p.terms[mask]} : {idx}".rstrip())
+    lines = [f"{c} : {' '.join(map(str, idx))}".rstrip() for idx, c in canonical_terms(p)]
     return "\n".join(lines) + "\n"
 
 

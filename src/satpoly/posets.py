@@ -19,7 +19,6 @@ from typing import Iterable, Optional
 
 from ._bits import iter_bits
 from .errors import BoundExceeded, ParseError
-from .formulas import Formula
 from .graphs import (
     Var,
     Weight,
@@ -32,7 +31,6 @@ from .graphs import (
     two_coloring,
 )
 from .polynomial import MultilinearPoly
-from .relations import BUILTIN_RELATIONS
 
 MAX_POSET_POLY = 25
 
@@ -69,16 +67,6 @@ class Poset:
                     raise ValueError("two-level structure requires all relations V1 -> V2")
             levels = (v1, v2)
         self.levels = levels
-
-    def reweighted(self, elements: dict[int, Weight]) -> "Poset":
-        """The same order over the same elements with new weights, not closed again."""
-        if elements.keys() != self.elements.keys():
-            raise ValueError("reweighting must keep the element set")
-        q = object.__new__(Poset)
-        q.elements = dict(elements)
-        q.less = self.less
-        q.levels = self.levels
-        return q
 
     def predecessors(self, x: int) -> frozenset[int]:
         return frozenset(a for a, b in self.less if b == x)
@@ -257,19 +245,6 @@ def weighted_bijection(p: Poset, antichain: Iterable[int]) -> frozenset[int]:
         raise ValueError("input is not an antichain")
     v1, v2 = p.levels
     return frozenset((a & v2) | (v1 - a))
-
-
-def or1_formula_of_poset(p: Poset) -> Formula:
-    """Implicative-2-clause formula whose satisfying sets are the ideals.
-
-    One OR1 constraint (x_i or not x_j) per ordered pair i < j in the
-    closed relation; variables follow sorted element order.
-    """
-    order = sorted(p.elements)
-    pos = {x: i for i, x in enumerate(order)}
-    rel = BUILTIN_RELATIONS["OR1"]
-    constraints = [(rel, (pos[x], pos[y])) for x, y in sorted(p.less)]
-    return Formula(max(len(order), 1), tuple(constraints))
 
 
 # ---------------------------------------------------------------------------

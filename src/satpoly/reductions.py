@@ -25,7 +25,9 @@ ids, in order, without expanding the graph.
 
 `count_vertex_covers` is the one exact cover counter, for pipeline instances
 and for the CLI's `count vc|is` alike.  The 2-clause translations at the end
-are emitted by `reduce` and checked against brute force, not used to count.
+are the one home of the OR0/OR2/OR1 encodings of covers, independent sets
+and ideals: `reduce` emits them, and `count ideals|antichains` counts the
+implicative one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .graphs import (
     parse_ints,
     two_coloring,
 )
-from .posets import Poset, or1_formula_of_poset
+from .posets import Poset
 from .relations import BUILTIN_RELATIONS
 
 
@@ -428,45 +430,53 @@ def replay_provenance(provenance: dict) -> ReductionInstance:
 # Counting problems as 2-clause formulas
 
 
-def _graph_structure(g) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+def _graph_pairs(g) -> tuple[list[int], list[tuple[int, int]]]:
+    """Sorted vertices, then the sorted edges followed by each loop as a pair (u, u)."""
     if isinstance(g, WeightedGraph):
-        return sorted(g.vertices), g.plain_edges(), sorted(g.loops())
-    return sorted(g.vertices), sorted(g.edges), sorted(g.loops)
+        edges, loops = g.plain_edges(), g.loops()
+    else:
+        edges, loops = sorted(g.edges), g.loops
+    return sorted(g.vertices), edges + [(u, u) for u in sorted(loops)]
+
+
+def _two_clause_formula(name: str, verts: list[int], pairs: list[tuple[int, int]]) -> Formula:
+    """One `name` clause per pair, variables in the order of verts.
+
+    A pair (u, u) is the diagonal clause name(x, x).  No vertices still give
+    one free variable, so the count of the empty input is 2, not 1.
+    """
+    pos = {v: i for i, v in enumerate(verts)}
+    rel = BUILTIN_RELATIONS[name]
+    return Formula(max(len(verts), 1), tuple((rel, (pos[u], pos[v])) for u, v in pairs))
 
 
 def vc_to_positive2sat(g) -> Formula:
     """Positive 2-clauses counting the vertex covers of g.
 
-    One OR0 clause per edge; a self-loop becomes the diagonal clause
-    OR0(x, x), a unit clause forcing its vertex into the cover.  The empty
-    graph gives a padded one-variable formula, whose count is 2, not 1.
+    One OR0 clause per edge; a self-loop becomes OR0(x, x), a unit clause
+    forcing its vertex into the cover.  With symbolic weights in sorted
+    vertex order, the formula's polynomial is the cover polynomial.
     """
-    verts, edges, loops = _graph_structure(g)
-    pos = {v: i for i, v in enumerate(verts)}
-    rel = BUILTIN_RELATIONS["OR0"]
-    cons = [(rel, (pos[u], pos[v])) for u, v in edges]
-    cons += [(rel, (pos[u], pos[u])) for u in loops]
-    return Formula(max(len(verts), 1), tuple(cons))
+    return _two_clause_formula("OR0", *_graph_pairs(g))
 
 
 def is_to_negative2sat(g) -> Formula:
     """Negative 2-clauses counting the independent sets of g.
 
-    One OR2 clause per edge; a self-loop becomes the diagonal clause
-    OR2(x, x), forcing its vertex out of every set.  The empty graph gives
-    a padded one-variable formula.
+    One OR2 clause per edge; a self-loop becomes OR2(x, x), forcing its
+    vertex out of every set.  On the conflict graph of matrix positions the
+    polynomial is the partial permanent.
     """
-    verts, edges, loops = _graph_structure(g)
-    pos = {v: i for i, v in enumerate(verts)}
-    rel = BUILTIN_RELATIONS["OR2"]
-    cons = [(rel, (pos[u], pos[v])) for u, v in edges]
-    cons += [(rel, (pos[u], pos[u])) for u in loops]
-    return Formula(max(len(verts), 1), tuple(cons))
+    return _two_clause_formula("OR2", *_graph_pairs(g))
 
 
 def ideal_to_implicative2sat(p: Poset) -> Formula:
-    """Implicative 2-clauses counting the ideals of p (empty p: padded to one variable)."""
-    return or1_formula_of_poset(p)
+    """Implicative 2-clauses counting the ideals of p.
+
+    One OR1 clause (x_i or not x_j) per pair i < j of the closed order, so
+    the polynomial is the ideal polynomial.
+    """
+    return _two_clause_formula("OR1", sorted(p.elements), sorted(p.less))
 
 
 # ---------------------------------------------------------------------------

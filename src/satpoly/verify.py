@@ -44,8 +44,6 @@ from .graphs import (
     build_partial_perm_graph,
     incidence_transform,
     ip,
-    or0_formula_of_graph,
-    or2_formula_partial_perm,
     partial_permanent,
     permanent,
     two_coloring,
@@ -66,7 +64,6 @@ from .posets import (
     antichain_poly,
     ideal_poly,
     maximal_elements,
-    or1_formula_of_poset,
     poset_from_bipartite,
     weighted_bijection,
 )
@@ -639,9 +636,9 @@ def _check_hard_route(rng: random.Random) -> str:
     assert found, "no 2-clause flavor is expressible from the 3-clause with forcing"
 
     families = {
-        "OR0": or0_formula_of_graph(incidence_transform(build_partial_perm_graph(2))),
-        "OR2": or2_formula_partial_perm(2),
-        "OR1": or1_formula_of_poset(
+        "OR0": vc_to_positive2sat(incidence_transform(build_partial_perm_graph(2))),
+        "OR2": is_to_negative2sat(build_partial_perm_graph(2)),
+        "OR1": ideal_to_implicative2sat(
             poset_from_bipartite(bipartize(build_partial_perm_graph(2)))
         ),
     }

@@ -2,8 +2,10 @@
 
 Each function here is the version that computed its answer one coordinate,
 one constraint or one all-pairs pass at a time, before the easy path and the
-poset closure were rewritten.  The tests require the current code to return
-equal results and raise identical errors.  Nothing in satpoly imports this.
+poset closure were rewritten, or one of the separate 2-clause encoders that
+the graph and poset modules held before the reductions module became their
+one home.  The tests require the current code to return equal results and
+raise identical errors.  Nothing in satpoly imports this.
 """
 
 from fractions import Fraction
@@ -11,7 +13,12 @@ from fractions import Fraction
 from satpoly.easy_eval import FactoredPoly
 from satpoly.errors import ParseError, SatPolyError
 from satpoly.formulas import Formula
-from satpoly.relations import _width2_expressible, classify, resolve_relation
+from satpoly.relations import (
+    BUILTIN_RELATIONS,
+    _width2_expressible,
+    classify,
+    resolve_relation,
+)
 
 
 class _UnionFind:
@@ -207,3 +214,36 @@ def transitive_closure(pairs) -> frozenset:
         if (y, x) in rel:
             raise ValueError(f"antisymmetry violated on ({x}, {y})")
     return frozenset(rel)
+
+
+def or0_formula_of_graph(g) -> Formula:
+    """Positive 2-clauses over a loop-free WeightedGraph, sorted vertex order."""
+    if g.loops():
+        raise ValueError("encoding requires a loop-free graph")
+    order = {v: i for i, v in enumerate(sorted(g.vertices))}
+    rel = BUILTIN_RELATIONS["OR0"]
+    constraints = [(rel, (order[u], order[v])) for u, v in g.plain_edges()]
+    return Formula(max(len(g.vertices), 1), tuple(constraints))
+
+
+def or2_formula_partial_perm(n: int) -> Formula:
+    """Negative 2-clauses forbidding two ones in a row or a column of an n x n matrix."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    rel = BUILTIN_RELATIONS["OR2"]
+    constraints = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                constraints.append((rel, (i * n + j, i * n + k)))
+                constraints.append((rel, (j * n + i, k * n + i)))
+    return Formula(n * n, tuple(constraints))
+
+
+def or1_formula_of_poset(p) -> Formula:
+    """Implicative 2-clauses, one per pair of the closed order, sorted element order."""
+    order = sorted(p.elements)
+    pos = {x: i for i, x in enumerate(order)}
+    rel = BUILTIN_RELATIONS["OR1"]
+    constraints = [(rel, (pos[x], pos[y])) for x, y in sorted(p.less)]
+    return Formula(max(len(order), 1), tuple(constraints))

@@ -6,15 +6,16 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import satpoly.cli as cli
 import satpoly.formulas as formulas_mod
 from satpoly.errors import ParseError
 from satpoly.formulas import Formula, count_sat
-from satpoly.graphs import parse_graph_file
+from satpoly.graphs import Var, parse_graph_file
 from satpoly.implement import Implementation
+from satpoly.posets import Poset, antichain_poly, format_poset_file
 from satpoly.reductions import (
     UnweightedGraph,
     brute_count_vertex_covers,
@@ -291,6 +292,31 @@ def test_count_poset_kinds(tmp_path, capsys):
     assert json.loads(out)["count"] == "4"
     _, out = run_cli(capsys, "count", "antichains", "--poset", path)
     assert json.loads(out)["count"] == "4"
+    # both kinds against the antichain enumerator; the file's weights play no part
+    rng = random.Random(17)
+    for n in range(15):
+        less = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < 0.2]
+        p = Poset({x: Var(x) for x in range(n)}, less)
+        path = write(tmp_path, f"p{n}.txt", format_poset_file(p))
+        unit = Poset(dict.fromkeys(p.elements, Fraction(1)), p.less)
+        expected = str(antichain_poly(unit).as_fraction())
+        for kind in ("antichains", "ideals"):
+            code, out = run_cli(capsys, "count", kind, "--poset", path)
+            assert code == 0 and json.loads(out)["count"] == expected
+
+
+def test_count_antichains_past_the_enumeration_cap(tmp_path, capsys):
+    text = "p poset 26\n" + "".join(f"v {x} 1\n" for x in range(26))
+    code, out = run_cli(capsys, "count", "antichains", "--poset", write(tmp_path, "a.txt", text))
+    assert code == 0 and json.loads(out)["count"] == str(2**26)
+
+
+def test_count_antichains_above_30_elements_exits_3(tmp_path, capsys):
+    text = "p poset 31\n" + "".join(f"v {x} 1\n" for x in range(31)) + "r 0 1\n"
+    path = write(tmp_path, "a.txt", text)
+    code, out, err = run_cli_err(capsys, "count", "antichains", "--poset", path)
+    assert code == 3 and out == ""
+    assert err == "bound exceeded: count_sat is limited to 30 variables\n"
 
 
 def test_reduce_perm_to_vc(tmp_path, capsys):
@@ -486,6 +512,66 @@ def test_missing_input_option_exits_2(capsys, argv):
     code, out, err = run_cli_err(capsys, *argv)
     assert_one_line_exit_2(code, out, err)
     assert "needs --" in err
+
+
+FUZZ_COMMANDS = {
+    "graph": [("count", "vc"), ("count", "is"), ("reduce", "vc-to-2sat"), ("reduce", "is-to-2sat")],
+    "poset": [("count", "ideals"), ("count", "antichains"), ("reduce", "ideal-to-2sat")],
+}
+# short pieces only: weights go through Fraction(), which expands an exponent
+# such as 1e99999999 in full, so no piece may grow a long exponent
+FUZZ_PIECES = ["0", "1", "-1", "2/3", "1/0", "X", "X0", "X2", "p", "v", "e", "r", "#", " ", "\n", "-"]
+
+
+@st.composite
+def valid_input_texts(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    n = draw(st.integers(0, 12))
+    weights = [draw(st.sampled_from(["1", "-1", "1/2", f"X{i + 1}"])) for i in range(n)]
+    if kind == "graph":
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+        head, tag = f"p graph {n} {{m}}", "e"
+    else:
+        pairs = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
+        head, tag = f"p poset {n}", "r"
+    links = draw(st.lists(st.sampled_from(pairs), max_size=16, unique=True)) if pairs else []
+    lines = [head.format(m=len(links))]
+    lines += [f"v {i + 1} {w}" for i, w in enumerate(weights)]
+    lines += [f"{tag} {u} {v}" for u, v in links]
+    return kind, "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_input_texts(draw):
+    kind, text = draw(valid_input_texts())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["truncate", "replace", "insert", "drop-line", "repeat-line"]))
+        if op in ("drop-line", "repeat-line"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                i = draw(st.integers(0, len(lines) - 1))
+                lines[i:i + 1] = [] if op == "drop-line" else [lines[i]] * 2
+                text = "".join(lines)
+            continue
+        i = draw(st.integers(0, len(text)))
+        if op == "truncate":
+            text = text[:i]
+        else:
+            piece = draw(st.sampled_from(FUZZ_PIECES))
+            text = text[:i] + piece + text[i + (op == "replace"):]
+    return kind, text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_input_texts(), st.data())
+def test_mutated_input_files_keep_the_exit_contract(tmp_path, capsys, case, data):
+    kind, text = case
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS[kind]))
+    path = write(tmp_path, "fuzz.txt", text)
+    code, out, err = run_cli_err(capsys, *command, f"--{kind}", path)
+    assert code in (0, 2, 3, 4)
+    assert out == "" or (out.count("\n") == 1 and isinstance(json.loads(out), dict))
+    assert err.count("\n") <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from satpoly.formulas import (
 )
 from satpoly._bits import iter_bits
 from satpoly.elimination import min_degree_order
-from satpoly.graphs import or2_formula_partial_perm
+from satpoly.graphs import build_partial_perm_graph
 from satpoly.polynomial import MultilinearPoly
+from satpoly.reductions import is_to_negative2sat
 from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, xor_relation
 
 import reference_paths as reference
@@ -45,7 +46,7 @@ def test_eval_assignment():
 
 def test_count_sat_examples():
     assert count_sat(Formula(2, ((B["OR0"], (0, 1)),))) == 3
-    assert count_sat(or2_formula_partial_perm(2)) == 7
+    assert count_sat(is_to_negative2sat(build_partial_perm_graph(2))) == 7
     inconsistent = Formula(1, ((B["F"], (0,)), (B["T"], (0,))))
     assert count_sat(inconsistent) == 0
 

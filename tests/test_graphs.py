@@ -14,8 +14,6 @@ from satpoly.graphs import (
     format_graph_file,
     incidence_transform,
     ip,
-    or0_formula_of_graph,
-    or2_formula_partial_perm,
     parse_graph_file,
     partial_permanent,
     permanent,
@@ -24,6 +22,7 @@ from satpoly.graphs import (
     weighted_graph,
 )
 from satpoly.polynomial import MultilinearPoly
+from satpoly.reductions import is_to_negative2sat, vc_to_positive2sat
 
 from strategies import nonzero_rationals
 
@@ -189,14 +188,14 @@ def test_bipartize_edgeless():
 
 def test_or0_formula_of_graph():
     g = weighted_graph({0: Var(0), 1: Var(1)}, [(0, 1)])
-    f = or0_formula_of_graph(g)
+    f = vc_to_positive2sat(g)
     assert poly_of_formula(f) == vcp(g)
-    empty = or0_formula_of_graph(weighted_graph({0: Var(0), 1: Var(1)}, []))
+    empty = vc_to_positive2sat(weighted_graph({0: Var(0), 1: Var(1)}, []))
     assert poly_of_formula(empty) == P(2, {0: 1, 1: 1, 2: 1, 3: 1})
 
 
 def test_or2_formula_partial_perm():
-    f = or2_formula_partial_perm(2)
+    f = is_to_negative2sat(build_partial_perm_graph(2))
     assert count_sat(f) == 7
     assert poly_of_formula(f) == partial_permanent([[Var(0), Var(1)], [Var(2), Var(3)]])
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satpoly._bits import iter_bits
 from satpoly.polynomial import (
     MultilinearPoly,
+    canonical_terms,
     homogeneous_component,
     linear_coefficient,
     parse_poly,
@@ -106,6 +108,13 @@ def test_linear_coefficient_examples():
 @given(polys())
 def test_serialize_roundtrip(p):
     assert parse_poly(serialize_poly(p), p.num_vars) == p
+
+
+@given(polys(max_vars=7))
+def test_canonical_terms_order_by_degree_then_indices(p):
+    # the order both the term-per-line format and the CLI's JSON used to sort by
+    masks = sorted(p.terms, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+    assert canonical_terms(p) == [([i + 1 for i in iter_bits(m)], p.terms[m]) for m in masks]
 
 
 def test_serialization_format():

@@ -16,12 +16,12 @@ from satpoly.posets import (
     format_poset_file,
     ideal_poly,
     maximal_elements,
-    or1_formula_of_poset,
     parse_poset_file,
     poset,
     poset_from_bipartite,
     weighted_bijection,
 )
+from satpoly.reductions import ideal_to_implicative2sat
 
 import reference_paths as reference
 
@@ -148,20 +148,20 @@ def test_weighted_bijection_requires_levels():
 
 def test_or1_formula_chain():
     p = poset({0: Var(0), 1: Var(1)}, [(0, 1)])
-    f = or1_formula_of_poset(p)
+    f = ideal_to_implicative2sat(p)
     assert poly_of_formula(f) == ideal_poly(p)
 
 
 def test_or1_formula_transitive_pairs():
     p = poset({0: 1, 1: 1, 2: 1}, [(0, 1), (1, 2)])
-    f = or1_formula_of_poset(p)
+    f = ideal_to_implicative2sat(p)
     assert len(f.constraints) == 3  # includes the composed pair
     assert count_sat(f) == 4  # ideals of a 3-chain
 
 
 def test_or1_formula_empty_order():
     p = poset({0: Var(0), 1: Var(1)}, [])
-    f = or1_formula_of_poset(p)
+    f = ideal_to_implicative2sat(p)
     assert len(f.constraints) == 0
     assert poly_of_formula(f) == P(2, {0: 1, 1: 1, 2: 1, 3: 1})
 
@@ -249,12 +249,3 @@ def test_closure_of_long_chain():
     n = 160
     p = Poset({x: F(1) for x in range(n)}, [(x, x + 1) for x in range(n - 1)])
     assert len(p.less) == n * (n - 1) // 2 and (0, n - 1) in p.less
-
-
-def test_reweighted_keeps_the_closed_order():
-    p = poset({0: -1, 1: -1, 2: Var(0)}, [(0, 2), (1, 2)], (frozenset({0, 1}), frozenset({2})))
-    unit = p.reweighted(dict.fromkeys(p.elements, F(1)))
-    assert unit.less is p.less and unit.levels == p.levels
-    assert set(unit.elements.values()) == {F(1)} and p.elements[2] == Var(0)
-    with pytest.raises(ValueError):
-        p.reweighted({0: F(1)})

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,17 @@ from hypothesis import strategies as st
 from satpoly._bits import balanced_product
 from satpoly.errors import ParseError, SatPolyError
 from satpoly.formulas import count_sat
-from satpoly.graphs import two_coloring, vcp, weighted_graph
+from satpoly import generators as gen
+from satpoly.graphs import (
+    Var,
+    build_partial_perm_graph,
+    incidence_transform,
+    partial_permanent,
+    permanent,
+    two_coloring,
+    vcp,
+    weighted_graph,
+)
 from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
@@ -35,7 +46,7 @@ from satpoly.reductions import (
     simulate_neg_weights,
     vc_to_positive2sat,
 )
-from satpoly.graphs import partial_permanent, permanent
+import reference_paths as reference
 
 F = Fraction
 
@@ -282,6 +293,56 @@ def test_cover_and_independent_counts_agree(data):
     loops = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     g = UnweightedGraph(range(n), edges, loops)
     assert count_sat(vc_to_positive2sat(g)) == count_sat(is_to_negative2sat(g))
+
+
+def test_or0_encoder_matches_reference_on_seeded_graphs():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        ids = rng.sample(range(30), n)
+        edges = [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.35]
+        g = weighted_graph({v: Var(i) for i, v in enumerate(ids)}, edges)
+        assert vc_to_positive2sat(g) == reference.or0_formula_of_graph(g)
+    for n in (1, 2, 3):
+        g = incidence_transform(build_partial_perm_graph(n))
+        assert vc_to_positive2sat(g) == reference.or0_formula_of_graph(g)
+
+
+@given(st.data())
+def test_or0_encoder_matches_reference(data):
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    g = weighted_graph({v: F(1) for v in range(n)}, edges)
+    assert vc_to_positive2sat(g) == reference.or0_formula_of_graph(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_or2_encoder_matches_reference_constraint_multiset(n):
+    kept = is_to_negative2sat(build_partial_perm_graph(n))
+    old = reference.or2_formula_partial_perm(n)
+    assert kept.num_vars == old.num_vars
+    assert Counter(kept.constraints) == Counter(old.constraints)
+
+
+def test_or1_encoder_matches_reference_on_seeded_posets():
+    rng = random.Random(43)
+    for _ in range(200):
+        p = gen.random_poset(rng, 12)
+        assert ideal_to_implicative2sat(p) == reference.or1_formula_of_poset(p)
+    empty = poset({}, [])
+    assert ideal_to_implicative2sat(empty) == reference.or1_formula_of_poset(empty)
+
+
+@given(st.data())
+def test_or1_encoder_matches_reference(data):
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    ids = data.draw(st.lists(st.integers(-5, 20), min_size=n, max_size=n, unique=True))
+    ranked = sorted(ids)
+    pairs = [(x, y) for i, x in enumerate(ranked) for y in ranked[i + 1:]]
+    rel = data.draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else []
+    p = poset(dict.fromkeys(ids, 1), rel)
+    assert ideal_to_implicative2sat(p) == reference.or1_formula_of_poset(p)
 
 
 def test_weighted_graph_accepts_2sat_encodings():
