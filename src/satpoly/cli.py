@@ -31,6 +31,7 @@ from .posets import parse_poset_file
 from .reductions import (
     UnweightedGraph,
     count_vertex_covers,
+    cover_count_bits,
     emit_instance,
     format_instance_file,
     ideal_to_implicative2sat,
@@ -196,14 +197,19 @@ def _cmd_reduce(args) -> int:
             "provenance": inst.provenance,
         }
         if args.count:
-            n = count_vertex_covers(inst.graph)
             # leaf blocks make raw counts astronomically large; the decimal
-            # expansion is only emitted when it stays readable
-            if n.bit_length() <= 4000:
+            # expansion is only emitted when it stays readable, so the exact
+            # count is only computed then; otherwise the permanent is read
+            # off a count modulo N
+            bits = cover_count_bits(inst)
+            if bits <= 4000:
+                n = count_vertex_covers(inst.graph)
                 payload["count"] = str(n)
+                recovered = n % inst.modulus
             else:
-                payload["count_bits"] = n.bit_length()
-            payload["recovered"] = str(n % inst.modulus)
+                payload["count_bits"] = bits
+                recovered = count_vertex_covers(inst.graph, inst.modulus)
+            payload["recovered"] = str(recovered)
         _emit(payload)
         return 0
     if args.target in ("vc-to-2sat", "is-to-2sat"):
@@ -252,7 +258,14 @@ def _cmd_implement(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_all(seed=args.seed)
     checks = [
-        {"name": r.name, "ok": r.ok, "detail": r.detail, "acceptance": r.acceptance}
+        {
+            "name": r.name,
+            "ok": r.ok,
+            "detail": r.detail,
+            "acceptance": r.acceptance,
+            "seconds": round(r.seconds, 3),
+            "budget_seconds": r.budget_seconds,
+        }
         for r in results
     ]
     passed = all(r.ok for r in results)
@@ -260,8 +273,19 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line and exits 2, as a parse error does.
+
+    Subparsers are built from the same class, so the line names the
+    subcommand: `satpoly eval: error: argument --point: expected one argument`.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satpoly",
         description="Polynomials of Boolean constraint formulas: classification, "
         "evaluation, counting, and reductions.",
@@ -281,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a formula's polynomial at a point")
     p.add_argument("--formula", required=True)
     p.add_argument("--relations")
-    p.add_argument("--point", required=True, help="comma/space separated rationals")
+    p.add_argument(
+        "--point",
+        required=True,
+        help="comma/space separated rationals; write --point=-1,2 when the first is negative",
+    )
     p.add_argument(
         "--easy",
         action="store_true",

@@ -13,13 +13,14 @@ each variable v carries a weight pair (w0, w1) for the values 0 and 1.
 Bucket elimination sums v out of the product of the factors in its bucket
 and passes the result on to the bucket of the earliest variable left in
 its scope.  Only ring operations on Python integers are used, so the
-result is exact for any integer weights.
+result is exact for any integer weights, and reducing every product and
+sum modulo N gives the result modulo N.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .relations import Relation
 
@@ -27,7 +28,7 @@ Factor = tuple[tuple[int, ...], list[int]]
 
 
 def min_degree_order(
-    num_vars: int, scopes: Iterable[Sequence[int]]
+    num_vars: int, scopes: Iterable[Sequence[int]], max_width: Optional[int] = None
 ) -> tuple[list[int], int, int]:
     """A min-degree elimination order of variables 0..num_vars-1, its width and its cost.
 
@@ -35,7 +36,9 @@ def min_degree_order(
     the number of entries of the joint tables weighted_count builds along
     the order.  The heap holds (degree, vertex) entries; an entry whose
     degree is no longer current is dropped when popped, so no step scans
-    for the next vertex.  Ties go to the lowest index.
+    for the next vertex.  Ties go to the lowest index.  Once the width
+    passes max_width the search stops: the order is then cut short and
+    only its width, above max_width, means anything.
     """
     adj: list[set[int]] = [set() for _ in range(num_vars)]
     for scope in scopes:
@@ -52,6 +55,8 @@ def min_degree_order(
         degree, v = heapq.heappop(heap)
         if done[v] or degree != len(adj[v]):
             continue
+        if max_width is not None and degree > max_width:
+            return order, degree, cost
         done[v] = True
         order.append(v)
         width = max(width, degree)
@@ -90,18 +95,27 @@ def _spread_index(scope: tuple[int, ...], joint: Sequence[int]) -> list[int]:
     idx = [0]
     for u in joint:
         j = where.get(u)
-        idx = idx + ([k + (1 << j) for k in idx] if j is not None else idx)
+        if j is None:
+            idx = idx + idx
+        else:
+            bit = 1 << j
+            idx = idx + [k + bit for k in idx]
     return idx
 
 
 def weighted_count(
-    factors: Iterable[Factor], weights: Sequence[tuple[int, int]], order: Sequence[int]
+    factors: Iterable[Factor],
+    weights: Sequence[tuple[int, int]],
+    order: Sequence[int],
+    modulus: Optional[int] = None,
 ) -> int:
     """Sum over all assignments of the product of the factors and the weights.
 
     weights[v] = (w0, w1) weighs variable v at 0 and at 1; order must list
     every variable once.  Products skip 0/1 entries: a 0 ends the product
-    and a 1 is left out.
+    and a 1 is left out.  With a modulus every product and sum is reduced
+    modulo it, and so is the result; each bucket picks the exact or the
+    reducing loop once, so exact counts pay nothing for the option.
     """
     rank = {v: i for i, v in enumerate(order)}
     buckets: list[list[Factor]] = [[] for _ in order]
@@ -112,6 +126,8 @@ def weighted_count(
         w0, w1 = weights[v]
         if not bucket:
             total *= w0 + w1
+            if modulus is not None:
+                total %= modulus
             continue
         rest = sorted({u for scope, _ in bucket for u in scope if u != v}, key=rank.__getitem__)
         joint = [v, *rest]  # v is bit 0, so its two values sit side by side
@@ -120,14 +136,22 @@ def weighted_count(
             idx = _spread_index(scope, joint)
             if prod is None:
                 prod = [table[k] for k in idx]
-            else:
+            elif modulus is None:
                 prod = [(a if (t := table[k]) == 1 else a * t) if a else 0
                         for a, k in zip(prod, idx)]
-        summed = [lo * w0 + hi * w1 for lo, hi in zip(prod[0::2], prod[1::2])]
+            else:
+                prod = [(a if (t := table[k]) == 1 else a * t % modulus) if a else 0
+                        for a, k in zip(prod, idx)]
+        if modulus is None:
+            summed = [lo * w0 + hi * w1 for lo, hi in zip(prod[0::2], prod[1::2])]
+        else:
+            summed = [(lo * w0 + hi * w1) % modulus for lo, hi in zip(prod[0::2], prod[1::2])]
         if not any(summed):
             return 0
         if rest:
             buckets[rank[rest[0]]].append((tuple(rest), summed))
         else:
             total *= summed[0]
-    return total
+            if modulus is not None:
+                total %= modulus
+    return total if modulus is None else total % modulus

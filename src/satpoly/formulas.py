@@ -198,7 +198,7 @@ def _eliminate(f: Formula, cvars: list[int], weights: list[tuple[int, int]]) -> 
     m = len(cvars)
     pos = {v: i for i, v in enumerate(cvars)}
     local = [(rel, [pos[a] for a in args]) for rel, args in f.constraints]
-    order, width, cost = min_degree_order(m, (args for _, args in local))
+    order, width, cost = min_degree_order(m, (args for _, args in local), _ELIM_WIDTH)
     if width > _ELIM_WIDTH or (m <= _TABLE_VARS and _ELIM_COST_RATIO * cost >= 1 << m):
         return None
     return weighted_count((constraint_factor(rel, args) for rel, args in local), weights, order)

@@ -2,14 +2,16 @@
 
 Each function here is the version that computed its answer one coordinate,
 one constraint or one all-pairs pass at a time, before the easy path and the
-poset closure were rewritten, or one of the separate 2-clause encoders that
+poset closure were rewritten, one of the separate 2-clause encoders that
 the graph and poset modules held before the reductions module became their
-one home.  The tests require the current code to return equal results and
+one home, or the memoised branching cover counter that variable
+elimination replaced.  The tests require the current code to return equal results and
 raise identical errors.  Nothing in satpoly imports this.
 """
 
 from fractions import Fraction
 
+from satpoly._bits import balanced_product
 from satpoly.easy_eval import FactoredPoly
 from satpoly.errors import ParseError, SatPolyError
 from satpoly.formulas import Formula
@@ -247,3 +249,97 @@ def or1_formula_of_poset(p) -> Formula:
     rel = BUILTIN_RELATIONS["OR1"]
     constraints = [(rel, (pos[x], pos[y])) for x, y in sorted(p.less)]
     return Formula(max(len(order), 1), tuple(constraints))
+
+
+def _simplify(adj, in_w, out_w):
+    """Forced/isolated/pendant reductions to fixpoint; returns the factors."""
+    factors = []
+    pending = list(adj)
+    while pending:
+        v = pending.pop()
+        if v not in adj:
+            continue
+        neighbors = adj[v]
+        if out_w[v] == 0:
+            if in_w[v] != 1:
+                factors.append(in_w[v])
+            for u in neighbors:
+                adj[u].discard(v)
+                pending.append(u)
+            del adj[v], in_w[v], out_w[v]
+        elif not neighbors:
+            factors.append(in_w[v] + out_w[v])
+            del adj[v], in_w[v], out_w[v]
+        elif len(neighbors) == 1:
+            u = next(iter(neighbors))
+            in_w[u] *= in_w[v] + out_w[v]
+            out_w[u] *= in_w[v]
+            adj[u].discard(v)
+            del adj[v], in_w[v], out_w[v]
+            pending.append(u)
+    return factors
+
+
+def _component_key(comp, adj, in_w, out_w):
+    pos = {v: i for i, v in enumerate(comp)}
+    edges = frozenset(
+        (pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u])
+        for u in comp
+        for v in adj[u]
+        if pos[u] < pos[v]
+    )
+    return tuple((in_w[v], out_w[v]) for v in comp), edges
+
+
+def _count_weighted(adj, in_w, out_w, memo):
+    factors = _simplify(adj, in_w, out_w)
+    seen = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        i = 0
+        while i < len(comp):
+            for u in adj[comp[i]]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+            i += 1
+        comp.sort()
+        factors.append(_count_component(comp, adj, in_w, out_w, memo))
+    return balanced_product(factors)
+
+
+def _count_component(comp, adj, in_w, out_w, memo):
+    key = _component_key(comp, adj, in_w, out_w)
+    if key in memo:
+        return memo[key]
+    branch = min(comp, key=lambda u: (-len(adj[u]), u))
+    adj_in = {v: set(adj[v]) - {branch} for v in comp if v != branch}
+    in_in = {v: in_w[v] for v in comp if v != branch}
+    out_in = {v: out_w[v] for v in comp if v != branch}
+    total = in_w[branch] * _count_weighted(adj_in, in_in, out_in, memo)
+    adj_out = {v: set(adj[v]) - {branch} for v in comp if v != branch}
+    in_out = {v: in_w[v] for v in comp if v != branch}
+    out_out = {v: out_w[v] for v in comp if v != branch}
+    for u in adj[branch]:
+        out_out[u] = 0
+    total += out_w[branch] * _count_weighted(adj_out, in_out, out_out, memo)
+    memo[key] = total
+    return total
+
+
+def count_vertex_covers(g):
+    """Exact cover count: loops force, leaf blocks fold, components branch, memoised.
+
+    Recursive, so a long path of branchings (a 2 x 2000 ladder) exceeds
+    the interpreter's recursion limit.
+    """
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    in_w = {v: 1 << g.leaf_counts.get(v, 0) for v in g.vertices}
+    out_w = {v: 0 if v in g.loops else 1 for v in g.vertices}
+    return _count_weighted(adj, in_w, out_w, {})

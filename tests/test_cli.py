@@ -19,6 +19,8 @@ from satpoly.posets import Poset, antichain_poly, format_poset_file
 from satpoly.reductions import (
     UnweightedGraph,
     brute_count_vertex_covers,
+    count_vertex_covers,
+    emit_instance,
     is_to_negative2sat,
     vc_to_positive2sat,
 )
@@ -433,6 +435,21 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_reduce_count_reports_the_exact_count_or_its_bits(tmp_path, capsys, bipartite):
+    for rows in ([[1]], [[0]], [[1, 0], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+        text = "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+        argv = ["reduce", "perm-to-vc", "--matrix", write(tmp_path, "m.txt", text), "--count"]
+        code, out = run_cli(capsys, *argv, *(["--bipartite"] if bipartite else []))
+        payload = json.loads(out)
+        exact = count_vertex_covers(emit_instance(rows, bipartite).graph)
+        if exact.bit_length() <= 4000:
+            assert payload["count"] == str(exact) and "count_bits" not in payload
+        else:
+            assert payload["count_bits"] == exact.bit_length() and "count" not in payload
+        assert payload["recovered"] == str(exact % int(payload["modulus"]))
+
+
 def test_missing_file_is_parse_error(capsys):
     code, _ = run_cli(capsys, "classify", "--relations", "/nonexistent/file")
     assert code == 2
@@ -454,6 +471,52 @@ def test_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all", fake_run_all_fail)
     code, out = run_cli(capsys, "verify")
     assert code == 4 and json.loads(out)["passed"] is False
+
+
+def test_verify_reports_seconds_and_budget(monkeypatch, capsys):
+    from satpoly.verify import ALL_CHECKS, run_all
+
+    quick = [c for c in ALL_CHECKS if c.name == "01-dichotomy-catalog"]
+    monkeypatch.setattr(cli, "run_all", lambda seed: run_all(seed, quick))
+    code, out = run_cli(capsys, "verify")
+    (row,) = json.loads(out)["checks"]
+    assert code == 0 and row["name"] == "01-dichotomy-catalog"
+    assert row["budget_seconds"] == quick[0].budget_seconds
+    assert 0 <= row["seconds"] <= row["budget_seconds"]
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["eval", "--formula", "f.csp", "--point", "-1,1"], "satpoly eval"),
+        ([], "satpoly"),
+        (["count", "vc", "--graph", "g.txt", "--no-such-option"], "satpoly"),
+        (["count", "cliques", "--graph", "g.txt"], "satpoly count"),
+    ],
+    ids=["negative-point", "no-subcommand", "unknown-option", "unknown-kind"],
+)
+def test_usage_errors_are_one_line_with_exit_2(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert_one_line_exit_2(exc.value.code, captured.out, captured.err)
+    assert captured.err.startswith(f"{prog}: error: ")
+
+
+def test_count_vc_on_a_long_ladder(tmp_path, capsys):
+    # x: the last rung has both ends in the cover; y: only its top end (or,
+    # by symmetry, only its bottom end)
+    n = 2000
+    x = y = 1
+    for _ in range(n - 1):
+        x, y = x + 2 * y, x + y
+    edges = [(i, i + n) for i in range(n)]
+    edges += [(r * n + i, r * n + i + 1) for r in (0, 1) for i in range(n - 1)]
+    lines = [f"p graph {2 * n} {len(edges)}"] + [f"v {v} 1" for v in range(2 * n)]
+    path = write(tmp_path, "ladder.txt", "\n".join(lines + [f"e {u} {v}" for u, v in edges]) + "\n")
+    for kind in ("vc", "is"):
+        code, out = run_cli(capsys, "count", kind, "--graph", path)
+        assert code == 0 and int(json.loads(out)["count"]) == x + 2 * y
 
 
 def run_cli_err(capsys, *argv):

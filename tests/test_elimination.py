@@ -112,3 +112,33 @@ def test_weighted_count_unconstrained_variable_and_zero_weight():
     factors = [constraint_factor(B["OR0"], (0, 2))]
     assert weighted_count(factors, [(2, 3), (5, 7), (1, 0)], [0, 1, 2]) == 3 * 12
     assert weighted_count([constraint_factor(B["NE"], (0, 0))], [(1, 1)], [0]) == 0
+
+
+@given(applied_constraints(), st.integers(2, 1 << 70))
+def test_weighted_count_modulo_n_is_the_exact_count_modulo_n(case, modulus):
+    n, cons, weights = case
+    order = min_degree_order(n, (args for _, args in cons))[0]
+    factors = [constraint_factor(rel, args) for rel, args in cons]
+    exact = weighted_count(factors, weights, order)
+    assert weighted_count(factors, weights, order, modulus) == exact % modulus
+
+
+def test_weighted_count_modulo_n_reduces_every_step():
+    # in-weights of 2**1000, as leaf blocks give: the exact count runs to
+    # tens of thousands of bits, the modular one stays below N
+    n, modulus = 40, (1 << 61) - 1
+    factors = [constraint_factor(B["OR0"], (i, i + 1)) for i in range(n - 1)]
+    weights = [(1, 1 << 1000)] * n
+    order = min_degree_order(n, (scope for scope, _ in factors))[0]
+    exact = weighted_count(factors, weights, order)
+    assert exact.bit_length() > 1000 * (n // 2)
+    assert weighted_count(factors, weights, order, modulus) == exact % modulus
+
+
+def test_min_degree_order_stops_past_max_width():
+    clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    order, width, _ = min_degree_order(6, clique, max_width=3)
+    assert order == [] and width == 5
+    assert min_degree_order(6, clique, max_width=5) == min_degree_order(6, clique)
+    path = [(i, i + 1) for i in range(9)]
+    assert min_degree_order(10, path, max_width=1) == min_degree_order(10, path)

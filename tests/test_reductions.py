@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,10 +28,10 @@ from satpoly.graphs import (
 from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
-    _component_key,
     UnweightedGraph,
     brute_count_vertex_covers,
     count_vertex_covers,
+    cover_count_bits,
     eliminate_zero_weights,
     emit_instance,
     format_instance_file,
@@ -46,6 +47,7 @@ from satpoly.reductions import (
     simulate_neg_weights,
     vc_to_positive2sat,
 )
+import satpoly.reductions as reductions_mod
 import reference_paths as reference
 
 F = Fraction
@@ -391,87 +393,6 @@ def _expanding_format_instance_file(inst):
     return "\n".join(lines) + "\n"
 
 
-def _sequential_simplify(adj, in_w, out_w):
-    factor = 1
-    pending = list(adj)
-    while pending:
-        v = pending.pop()
-        if v not in adj:
-            continue
-        neighbors = adj[v]
-        if out_w[v] == 0:
-            factor *= in_w[v]
-            for u in neighbors:
-                adj[u].discard(v)
-                pending.append(u)
-            del adj[v], in_w[v], out_w[v]
-        elif not neighbors:
-            factor *= in_w[v] + out_w[v]
-            del adj[v], in_w[v], out_w[v]
-        elif len(neighbors) == 1:
-            u = next(iter(neighbors))
-            in_w[u] *= in_w[v] + out_w[v]
-            out_w[u] *= in_w[v]
-            adj[u].discard(v)
-            del adj[v], in_w[v], out_w[v]
-            pending.append(u)
-    return factor
-
-
-def _sequential_count_weighted(adj, in_w, out_w, memo):
-    factor = _sequential_simplify(adj, in_w, out_w)
-    if factor == 0:
-        return 0
-    if not adj:
-        return factor
-    result = factor
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        i = 0
-        while i < len(comp):
-            for u in adj[comp[i]]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-            i += 1
-        comp.sort()
-        result *= _sequential_count_component(comp, adj, in_w, out_w, memo)
-    return result
-
-
-def _sequential_count_component(comp, adj, in_w, out_w, memo):
-    key = _component_key(comp, adj, in_w, out_w)
-    if key in memo:
-        return memo[key]
-    branch = min(comp, key=lambda u: (-len(adj[u]), u))
-    adj_in = {v: set(adj[v]) - {branch} for v in comp if v != branch}
-    in_in = {v: in_w[v] for v in comp if v != branch}
-    out_in = {v: out_w[v] for v in comp if v != branch}
-    total = in_w[branch] * _sequential_count_weighted(adj_in, in_in, out_in, memo)
-    adj_out = {v: set(adj[v]) - {branch} for v in comp if v != branch}
-    in_out = {v: in_w[v] for v in comp if v != branch}
-    out_out = {v: out_w[v] for v in comp if v != branch}
-    for u in adj[branch]:
-        out_out[u] = 0
-    total += out_w[branch] * _sequential_count_weighted(adj_out, in_out, out_out, memo)
-    memo[key] = total
-    return total
-
-
-def _sequential_count_vertex_covers(g):
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    in_w = {v: 1 << g.leaf_counts.get(v, 0) for v in g.vertices}
-    out_w = {v: 0 if v in g.loops else 1 for v in g.vertices}
-    return _sequential_count_weighted(adj, in_w, out_w, {})
-
-
 @st.composite
 def compressed_graphs(draw, max_core=8, max_block=5):
     """Graphs with loops, negative and non-contiguous ids and leaf blocks of size 0-5."""
@@ -561,15 +482,38 @@ def _sparse(rng, n):
     return UnweightedGraph(range(n), rng.sample(pairs, round(1.4 * n)), loops)
 
 
-def test_counter_matches_sequential_fold_on_pipeline_instances():
-    cases = [(a, False) for n in (2, 3, 4) for a in _seeded_matrices(n, (1, 2))]
+def _clique(n):
+    return UnweightedGraph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _dense(rng, n, m):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    loops = {v for v in range(n) if rng.random() < 0.05}
+    return UnweightedGraph(range(n), rng.sample(pairs, m), loops)
+
+
+def _pipeline_cases():
+    """Every instance of a matrix of order at most 2, and seeded ones of order 2-4, in both variants."""
+    cases = [(_matrix_of(bits, n), bip) for n in (1, 2) for bits in range(1 << n * n)
+             for bip in (False, True)]
+    cases += [(a, bip) for bip in (False, True) for a in _seeded_matrices(3, (1, 2, 3))]
+    cases += [(a, False) for n in (2, 3, 4) for a in _seeded_matrices(n, (1, 2))]
     cases += [(a, True) for n in (2, 3) for a in _seeded_matrices(n, (1,))]
     cases.append(([[1, 1, 1], [1, 1, 1], [1, 1, 1]], False))
-    for a, bipartite in cases:
+    return cases
+
+
+# The elimination counter against the memoised branching counter it
+# replaced (reference_paths), exactly and modulo N
+
+
+def test_counter_matches_sequential_fold_on_pipeline_instances():
+    for a, bipartite in _pipeline_cases():
         inst = emit_instance(a, bipartite)
         count = count_vertex_covers(inst.graph)
-        assert count == _sequential_count_vertex_covers(inst.graph), (a, bipartite)
+        assert count == reference.count_vertex_covers(inst.graph), (a, bipartite)
         assert count % inst.modulus == permanent(a).as_fraction()
+        assert count_vertex_covers(inst.graph, inst.modulus) == count % inst.modulus
 
 
 def test_counter_matches_sequential_fold_on_grids_and_sparse_graphs():
@@ -577,8 +521,13 @@ def test_counter_matches_sequential_fold_on_grids_and_sparse_graphs():
     rng = random.Random(5)
     graphs += [_sparse(rng, n) for n in range(4, 25, 2)]
     graphs.append(UnweightedGraph(range(12), [], [3], {v: v % 4 for v in range(12)}))
+    graphs += [_clique(n) for n in range(1, 13)]
+    rng = random.Random(11)
+    graphs += [_sparse(rng, n) for n in range(4, 31, 2)]
+    graphs += [_dense(rng, n, n * (n - 1) // 4) for n in range(6, 23, 2)]
+    graphs += [_dense(rng, 30, 150) for _ in range(4)]
     for g in graphs:
-        assert count_vertex_covers(g) == _sequential_count_vertex_covers(g), g
+        assert count_vertex_covers(g) == reference.count_vertex_covers(g), g
 
 
 @given(compressed_graphs(max_core=10, max_block=4))
@@ -586,6 +535,80 @@ def test_counter_matches_sequential_fold_on_grids_and_sparse_graphs():
 def test_counter_matches_enumeration_with_leaf_blocks(g):
     assume(g.vertex_count() <= 20)
     assert count_vertex_covers(g) == brute_count_vertex_covers(g)
+
+
+# ---------------------------------------------------------------------------
+# Wide graphs, counts modulo N and the bit-length identity
+
+
+def _grid_covers(k, length):
+    """Covers of the k x length grid: its independent sets, by a row transfer matrix."""
+    rows = [s for s in range(1 << k) if not s & s >> 1]
+    ways = dict.fromkeys(rows, 1)
+    for _ in range(length - 1):
+        ways = {t: sum(w for s, w in ways.items() if not s & t) for t in rows}
+    return sum(ways.values())
+
+
+def test_counter_conditions_wide_graphs():
+    # K_n has n + 1 covers; a 40-vertex graph of 300 edges and the 10 x 10
+    # grid are wider than any order is eliminated at, so they are counted
+    # by conditioning first
+    assert count_vertex_covers(_clique(40)) == 41
+    assert count_vertex_covers(_clique(40), 7) == 41 % 7
+    g = _dense(random.Random(40), 40, 300)
+    assert count_vertex_covers(g) == reference.count_vertex_covers(g)
+    for k, length in ((4, 7), (8, 9), (10, 10)):
+        assert count_vertex_covers(_grid(k, length)) == _grid_covers(k, length)
+
+
+def _disjoint_union(graphs):
+    vertices, edges, loops = [], [], set()
+    for h in graphs:
+        shift = len(vertices) - min(h.vertices)
+        vertices += [v + shift for v in h.vertices]
+        edges += [(u + shift, v + shift) for u, v in h.edges]
+        loops |= {v + shift for v in h.loops}
+    return UnweightedGraph(vertices, edges, loops)
+
+
+def _eliminate_calls(g):
+    with mock.patch.object(reductions_mod, "_eliminate", wraps=reductions_mod._eliminate) as spy:
+        count = count_vertex_covers(g)
+    return count, spy.call_count
+
+
+def test_counter_conditions_each_wide_component_once():
+    # conditioning one of m wide components must not copy the others into
+    # both branches, or the parts double with every component (2**20 here):
+    # a disjoint union costs the elimination calls of its parts
+    rng = random.Random(3)
+    for parts in ([_dense(rng, 40, 300) for _ in range(3)], [_clique(13)] * 20):
+        alone = [_eliminate_calls(h) for h in parts]
+        count, calls = _eliminate_calls(_disjoint_union(parts))
+        assert calls == sum(c for _, c in alone)
+        assert count == balanced_product([n for n, _ in alone])
+        assert count == reference.count_vertex_covers(_disjoint_union(parts))
+
+
+@given(compressed_graphs(max_core=12), st.integers(2, 1 << 80))
+@settings(max_examples=120)
+def test_counter_modulo_n_is_the_exact_count_modulo_n(g, modulus):
+    assert count_vertex_covers(g, modulus) == count_vertex_covers(g) % modulus
+
+
+def test_cover_count_bits_is_the_exact_bit_length():
+    for a, bipartite in _pipeline_cases() + [(_seeded_matrices(4, (1,))[0], False)]:
+        inst = emit_instance(a, bipartite)
+        assert cover_count_bits(inst) == count_vertex_covers(inst.graph).bit_length(), a
+
+
+def test_cover_count_bits_needs_full_leaf_blocks():
+    g = UnweightedGraph([0, 1, 2], [(0, 1), (1, 2)], leaf_counts={0: 3, 2: 0})
+    assert cover_count_bits(_instance(g)) == count_vertex_covers(g).bit_length()
+    short = UnweightedGraph([0, 1, 2], [(0, 1), (1, 2)], leaf_counts={0: 2})
+    with pytest.raises(SatPolyError, match="exactly 3 leaves"):
+        cover_count_bits(_instance(short))
 
 
 PRODUCT_CASES = {
