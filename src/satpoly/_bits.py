@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def table_full(t: int) -> int:
@@ -34,6 +36,32 @@ def table_var(i: int, t: int) -> int:
         x |= x << period
         period *= 2
     return x
+
+
+def factor_table(scope, table, bases, full: int) -> int:
+    """The table of a 0/1 factor (see satpoly.elimination), bases[u] being u's table.
+
+    One cube per entry of the rarer value: the zeros are cleared from full,
+    or the ones are joined.
+    """
+    zeros = [e for e, x in enumerate(table) if not x]
+    few_zeros = 2 * len(zeros) <= len(table)
+    mask = 0
+    for e in zeros if few_zeros else (e for e, x in enumerate(table) if x):
+        cube = full
+        for j, u in enumerate(scope):
+            cube &= bases[u] if e >> j & 1 else ~bases[u]
+        mask |= cube
+    return ~mask & full if few_zeros else mask
+
+
+def table_bits(table: int, t: int) -> np.ndarray:
+    """The 2**t entries of a table over t variables, as a 0/1 uint8 array."""
+    nbytes = max(1, ((1 << t) + 7) >> 3)
+    return np.unpackbits(
+        np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
+        bitorder="little",
+    )[: 1 << t]
 
 
 def iter_bits(mask: int):

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .easy_eval import easy_factor, evaluate_factored
-from .errors import BoundExceeded, ParseError, SatPolyError
+from .errors import BoundExceeded, ParseError, SatPolyError, parse_rational
 from .formulas import (
     Formula,
     count_sat,
@@ -64,9 +64,11 @@ def _parse_point(text: str, n: int) -> list[Fraction]:
     if len(toks) != n:
         raise ParseError(f"point has {len(toks)} coordinates, formula has {n} variables")
     parsed = dict.fromkeys(toks)  # first-appearance order, so the first bad token is reported
+    # only parse_rational refuses exponent notation; text with no e or E skips its check
+    read = parse_rational if "e" in text or "E" in text else Fraction
     try:
         for t in parsed:
-            parsed[t] = Fraction(t)
+            parsed[t] = read(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational in point: {exc}") from None
     return [parsed[t] for t in toks]

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+
 class SatPolyError(Exception):
     """Base class for all library errors."""
 
@@ -24,3 +27,15 @@ def check_int_chars(tokens, lineno: int) -> None:
                 f"line {lineno}: integer token of {len(tok)} characters"
                 f" (at most {MAX_INT_CHARS})"
             )
+
+
+def parse_rational(tok: str) -> Fraction:
+    """Fraction(tok), with exponent notation refused as a ParseError.
+
+    Fraction("1e1000000") builds 10**1000000 in full, and each further
+    exponent digit costs ten times more; no other syntax Fraction reads
+    contains e or E.
+    """
+    if "e" in tok or "E" in tok:
+        raise ParseError(f"exponent notation is not accepted: {tok!r}")
+    return Fraction(tok)

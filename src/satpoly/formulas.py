@@ -5,20 +5,19 @@ the monomial collecting the variables assigned 1.  Evaluating that
 polynomial at all-ones recovers the model count.  Counting and evaluation
 take one of three exact routes, chosen by predicted cost:
 
-- variable elimination (satpoly.elimination) when the formula's
-  min-degree elimination width is at most _ELIM_WIDTH, the width where
-  elimination stopped beating the search on 23-30-variable formulas, and,
-  at most _TABLE_VARS constrained variables, when _ELIM_COST_RATIO times
-  the order's cost (the entries of the tables it builds) is below the
-  2**m entries of the truth table;
+- up to _TABLE_VARS constrained variables, variable elimination along the
+  formula's min-degree order (satpoly.elimination) when that order is at
+  most ELIM_WIDTH wide and _ELIM_COST_RATIO times its cost (the entries of
+  the tables it builds) is below the 2**m entries of the truth table;
 - otherwise, up to _TABLE_VARS constrained variables, a bit-parallel truth
   table: the satisfying set is a big integer, counted by popcount, and
   evaluation at a rational point folds it one variable at a time;
-- otherwise a depth-first search over the models.
+- above _TABLE_VARS, elimination.count: folds, components, elimination of
+  the narrow ones and conditioning of the wide ones.
 
 Numerators and denominators are carried separately as integers, so every
-result is exact.  poly_of_formula lists the models themselves, so it
-enumerates by table or search alone.
+result is exact.  poly_of_formula lists the models themselves, by table or
+depth-first search; it shares no counting code with the routes above.
 """
 
 from __future__ import annotations
@@ -30,15 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._bits import table_full, table_var
-from .elimination import constraint_factor, min_degree_order, weighted_count
+from ._bits import factor_table, table_bits, table_full, table_var
+from .elimination import ELIM_WIDTH, constraint_factor, count, min_degree_order, weighted_count
 from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .polynomial import MultilinearPoly
 from .relations import Relation, parity_constant, resolve_relation
 
 MAX_ENUM_VARS = 30  # hard ceiling for exact enumeration
-_TABLE_VARS = 22  # above this, eliminate variables or search depth-first
-_ELIM_WIDTH = 11  # widest min-degree order eliminated; wider formulas search depth-first
+_TABLE_VARS = 22  # above this, elimination.count
 # Time of one elimination table entry over one truth-table entry (build
 # plus popcount or fold): the median break-even ratio was 29-51 on
 # 12-22-variable formulas of width 3-11, for counts, small and 6-digit
@@ -122,15 +120,7 @@ def _constraint_table(rel: Relation, positions: Sequence[int], bases: list[int],
         for p in positions:
             acc ^= bases[p]  # repeated arguments cancel, matching xor semantics
         return acc if c == 1 else ~acc & full
-    table = 0
-    for t in rel.accepted:
-        m = full
-        for bit, p in zip(t, positions):
-            m &= bases[p] if bit else ~bases[p] & full
-            if not m:
-                break
-        table |= m
-    return table
+    return factor_table(*constraint_factor(rel, positions), bases, full)
 
 
 def _sat_table(f: Formula, cvars: list[int]) -> int:
@@ -147,18 +137,9 @@ def _sat_table(f: Formula, cvars: list[int]) -> int:
     return table
 
 
-def _table_bits(table: int, m: int) -> np.ndarray:
-    """The 2**m entries of a truth table over m variables, as a 0/1 uint8 array."""
-    nbytes = max(1, ((1 << m) + 7) >> 3)
-    return np.unpackbits(
-        np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )[: 1 << m]
-
-
 def _table_models(table: int, m: int) -> list[int]:
     """The set entries of a truth table over m variables, ascending, in one pass."""
-    return np.flatnonzero(_table_bits(table, m)).tolist()
+    return np.flatnonzero(table_bits(table, m)).tolist()
 
 
 def _sat_assignments_dfs(f: Formula, cvars: list[int]):
@@ -188,20 +169,24 @@ def _sat_assignments_dfs(f: Formula, cvars: list[int]):
     yield from rec(0, 0)
 
 
-def _eliminate(f: Formula, cvars: list[int], weights: list[tuple[int, int]]) -> Optional[int]:
-    """Weighted model count over cvars by variable elimination.
+def _weighted_count(f: Formula, cvars: list[int], weights: list[tuple[int, int]]) -> Optional[int]:
+    """Weighted model count over cvars, or None when the truth table costs less.
 
-    weights[i] = (w0, w1) weighs cvars[i] at 0 and at 1.  Returns None
-    when the min-degree order is wider than _ELIM_WIDTH, or when the
-    formula fits a truth table that costs less than the order predicts.
+    weights[i] = (w0, w1) weighs cvars[i] at 0 and at 1.  Above _TABLE_VARS
+    constrained variables elimination.count runs; below, elimination along
+    the min-degree order when it is at most ELIM_WIDTH wide and cheaper
+    than the table.
     """
     m = len(cvars)
     pos = {v: i for i, v in enumerate(cvars)}
     local = [(rel, [pos[a] for a in args]) for rel, args in f.constraints]
-    order, width, cost = min_degree_order(m, (args for _, args in local), _ELIM_WIDTH)
-    if width > _ELIM_WIDTH or (m <= _TABLE_VARS and _ELIM_COST_RATIO * cost >= 1 << m):
+    factors = (constraint_factor(rel, args) for rel, args in local)
+    if m > _TABLE_VARS:
+        return count(factors, weights)
+    order, width, cost = min_degree_order(m, (args for _, args in local), ELIM_WIDTH)
+    if width > ELIM_WIDTH or _ELIM_COST_RATIO * cost >= 1 << m:
         return None
-    return weighted_count((constraint_factor(rel, args) for rel, args in local), weights, order)
+    return weighted_count(factors, weights, order)
 
 
 def count_sat(f: Formula) -> int:
@@ -209,14 +194,10 @@ def count_sat(f: Formula) -> int:
     if f.num_vars > MAX_ENUM_VARS:
         raise BoundExceeded(f"count_sat is limited to {MAX_ENUM_VARS} variables")
     cvars = _constrained_vars(f)
-    free = f.num_vars - len(cvars)
-    n_sat = _eliminate(f, cvars, [(1, 1)] * len(cvars))
+    n_sat = _weighted_count(f, cvars, [(1, 1)] * len(cvars))
     if n_sat is None:
-        if len(cvars) <= _TABLE_VARS:
-            n_sat = _sat_table(f, cvars).bit_count()
-        else:
-            n_sat = sum(1 for _ in _sat_assignments_dfs(f, cvars))
-    return n_sat << free
+        n_sat = _sat_table(f, cvars).bit_count()
+    return n_sat << f.num_vars - len(cvars)
 
 
 def poly_of_formula(f: Formula) -> MultilinearPoly:
@@ -257,7 +238,7 @@ def _fold_table(table: int, weights: list[tuple[int, int]]) -> int:
     passes run in vectorized int64 while that running bound fits; the
     2**(m-k) entries left then finish in Python integers.
     """
-    a = _table_bits(table, len(weights)).astype(np.int64)
+    a = table_bits(table, len(weights)).astype(np.int64)
     bound = 1
     k = 0
     for p, q in weights:
@@ -288,17 +269,9 @@ def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:
     if not cvars:
         return factor
     weights = [(pt[v].numerator, pt[v].denominator) for v in cvars]
-    total = _eliminate(f, cvars, [(q, p) for p, q in weights])
+    total = _weighted_count(f, cvars, [(q, p) for p, q in weights])
     if total is None:
-        if len(cvars) <= _TABLE_VARS:
-            total = _fold_table(_sat_table(f, cvars), weights)
-        else:
-            total = 0
-            for local in _sat_assignments_dfs(f, cvars):
-                prod = 1
-                for i, (p, q) in enumerate(weights):
-                    prod *= p if local >> i & 1 else q
-                total += prod
+        total = _fold_table(_sat_table(f, cvars), weights)
     denom = 1
     for _, q in weights:
         denom *= q

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .formulas import Formula
+from .formulas import Constraint, Formula
 from .graphs import Var, WeightedGraph
 from .posets import Poset
 from .relations import BUILTIN_RELATIONS, Relation, relation, width2_solution_set
@@ -119,6 +119,35 @@ def random_banded_formula(
             add(v)
     while len(cons) < round(density * n):
         add(rng.randrange(n))
+    return Formula(n, tuple(cons))
+
+
+def random_wide_formula(rng: random.Random, n: int, kind: str) -> Formula:
+    """Hard formula of unbounded width; on 24-28 variables, min-degree width 12-21.
+
+    "clause3": 2n random CLAUSE3 clauses; "clause3-or2": also 3n/4 random
+    OR2 clauses, which leave few models; "or0": OR0 on each pair with
+    probability 1/2; "planted": 4n constraints of a mix that accept a
+    planted assignment.
+    """
+    def pick(name: str) -> Constraint:
+        rel = BUILTIN_RELATIONS[name]
+        return rel, tuple(rng.sample(range(n), rel.rank))
+
+    if kind == "or0":
+        return Formula(n, tuple((BUILTIN_RELATIONS["OR0"], (i, j)) for i in range(n)
+                                for j in range(i + 1, n) if rng.random() < 0.5))
+    if kind == "planted":
+        planted = [rng.randrange(2) for _ in range(n)]
+        cons = []
+        while len(cons) < 4 * n:
+            rel, args = pick(rng.choice(["OR0", "OR1", "OR2", "CLAUSE3", "CLAUSE3", "NE"]))
+            if tuple(planted[a] for a in args) in rel.accepted:
+                cons.append((rel, args))
+        return Formula(n, tuple(cons))
+    cons = [pick("CLAUSE3") for _ in range(2 * n)]
+    if kind == "clause3-or2":
+        cons += [pick("OR2") for _ in range(3 * n // 4)]
     return Formula(n, tuple(cons))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
+from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars, parse_rational
 from .polynomial import MultilinearPoly
 
 
@@ -373,7 +373,7 @@ def parse_weight(tok: str) -> Weight:
             raise ParseError("symbol indices are 1-based")
         return Var(k - 1)
     try:
-        return Fraction(tok)
+        return parse_rational(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight {tok!r}") from None
 

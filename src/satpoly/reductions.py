@@ -24,10 +24,10 @@ cheap to build; the instance writer emits each block as a range of leaf
 ids, in order, without expanding the graph.
 
 `count_vertex_covers` is the one cover counter, for pipeline instances and
-for the CLI's `count vc|is` alike: leaf blocks, loops and pendant paths
-fold into vertex weights, and what is left is counted as a weighted OR0
-formula by variable elimination, exactly or modulo N; `cover_count_bits`
-gives the bit length of a pipeline instance's exact count without it.
+for the CLI's `count vc|is` alike: the covers are the models of a weighted
+OR0 formula, counted exactly or modulo N by `elimination.count`, the
+counter formulas use; `cover_count_bits` gives the bit length of a
+pipeline instance's exact count without it.
 The 2-clause translations at the end are the one home of the OR0/OR2/OR1
 encodings of covers, independent sets and ideals: `reduce` emits them,
 and `count ideals|antichains` counts the implicative one.
@@ -38,13 +38,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
-from ._bits import balanced_product
-from .elimination import min_degree_order, weighted_count
+from .elimination import count
 from .errors import MAX_INT_CHARS, ParseError, SatPolyError, check_int_chars
-from .formulas import _ELIM_WIDTH, Formula
+from .formulas import Formula
 from .graphs import (
     WeightedGraph,
     bipartize,
@@ -266,176 +264,21 @@ def simulate_neg_weights(
 # Cover counting
 
 
-def _simplify(
-    adj: dict[int, set[int]],
-    in_w: dict[int, int],
-    out_w: dict[int, int],
-    modulus: Optional[int],
-) -> list[int]:
-    """Apply forced/isolated/pendant reductions to fixpoint; return the factors.
-
-    With a modulus the pendant folds are reduced modulo it, and a weight
-    that reduces to 0 is then treated as 0, which is sound because only
-    ring operations follow.
-    """
-    factors: list[int] = []
-    pending = list(adj)
-    while pending:
-        v = pending.pop()
-        if v not in adj:
-            continue
-        neighbors = adj[v]
-        if out_w[v] == 0:
-            if in_w[v] != 1:  # the usual forced weight on graphs without leaves
-                factors.append(in_w[v])
-            for u in neighbors:
-                adj[u].discard(v)
-                pending.append(u)
-            del adj[v], in_w[v], out_w[v]
-        elif not neighbors:
-            factors.append(in_w[v] + out_w[v])
-            del adj[v], in_w[v], out_w[v]
-        elif len(neighbors) == 1:
-            u = next(iter(neighbors))
-            in_w[u] *= in_w[v] + out_w[v]
-            out_w[u] *= in_w[v]
-            if modulus is not None:
-                in_w[u] %= modulus
-                out_w[u] %= modulus
-            adj[u].discard(v)
-            del adj[v], in_w[v], out_w[v]
-            pending.append(u)
-    return factors
-
-
-def _product(factors: list[int], modulus: Optional[int]) -> int:
-    if modulus is None:
-        return balanced_product(factors)
-    p = 1 % modulus
-    for x in factors:
-        p = p * x % modulus
-    return p
-
-
-def _components(adj: dict[int, set[int]]) -> list[list[int]]:
-    """The connected components of adj, each a sorted vertex list."""
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for v in comp:
-            fresh = adj[v] - seen
-            seen |= fresh
-            comp.extend(fresh)
-        comps.append(sorted(comp))
-    return comps
-
-
-@lru_cache(maxsize=None)
-def _star_table(k: int) -> list[int]:
-    """OR0(v, u_j) for j < k as one table over (v, u_0..u_k-1): v in, or every u_j in."""
-    all_in = (2 << k) - 2
-    return [1 if e & 1 or e == all_in else 0 for e in range(2 << k)]
-
-
-def _eliminate(comp, adj, in_w, out_w, modulus: Optional[int]) -> Optional[int]:
-    """The cover count of one component by elimination; None if its order is too wide.
-
-    Every edge lands in the bucket of its earlier end in the order, so a
-    vertex's edges to later vertices make one factor there instead of one
-    each, and the bucket's table is swept once for all of them.  Wider
-    components than _ELIM_WIDTH, the width formulas eliminate up to, are
-    left to conditioning: a 9x9 grid (width 12) then counts in about
-    0.008 s, against 0.03 s at a width of 8 and 0.4 s at 4.
-    """
-    if min(len(adj[v]) for v in comp) > _ELIM_WIDTH:
-        return None  # the first vertex any order removes is already too wide
-    pos = {v: i for i, v in enumerate(comp)}
-    edges = [(pos[u], pos[v]) for u in comp for v in adj[u] if u < v]
-    order, width, _ = min_degree_order(len(comp), edges, _ELIM_WIDTH)
-    if width > _ELIM_WIDTH:
-        return None
-    rank = {v: i for i, v in enumerate(order)}
-    later: list[list[int]] = [[] for _ in comp]
-    for u, v in edges:
-        if rank[u] < rank[v]:
-            later[u].append(v)
-        else:
-            later[v].append(u)
-    factors = [((v, *us), _star_table(len(us))) for v, us in enumerate(later) if us]
-    weights = [(out_w[v], in_w[v]) for v in comp]
-    return weighted_count(factors, weights, order, modulus)
+_OR0 = [0, 1, 1, 1]  # a cover holds at least one end of every edge
 
 
 def count_vertex_covers(g: UnweightedGraph, modulus: Optional[int] = None) -> int:
-    """Cover count, exact or modulo `modulus`: loops force, leaf blocks fold, the rest is eliminated.
+    """Cover count, exact or modulo `modulus`, by elimination.count.
 
-    Each vertex carries the weight pair (out_w, in_w): a loop makes out_w
-    0, a block of k leaves makes in_w 2**k.  The forced, isolated and
-    pendant folds of _simplify collapse the leaf-heavy pipeline instances
-    almost entirely.  Each connected component left is a weighted OR0
-    formula, one clause per edge, summed out by variable elimination
-    (satpoly.elimination) along a min-degree order, and the component
-    counts multiply.
-
-    A component whose order is wider than _ELIM_WIDTH is conditioned on a
-    vertex of highest degree instead: in the cover, the vertex drops out
-    with weight in_w; out of it, its neighbours are forced in and it drops
-    out with weight out_w.  Each branch is folded and split again.  The
-    branches are kept as a tree of sums and products built from an
-    explicit stack, so separate wide components are conditioned once each,
-    and no recursion is used.
-
-    Exact pipeline counts run to millions of bits, so exact factors
-    multiply as a balanced tree.  With a modulus every weight, fold, table
-    entry and product is reduced modulo it, which is sound because only
-    ring operations are used, and is all a reduction that reads the count
-    modulo N needs.
+    Each vertex is a variable weighted (0 if looped else 1, 2**k) for its
+    block of k leaves, and each edge an OR0 factor.  The folds collapse
+    the leaf-heavy pipeline instances almost entirely; a modulus is all a
+    reduction that reads the count modulo N needs.
     """
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    if modulus is None:
-        in_w = {v: 1 << g.leaf_counts.get(v, 0) for v in g.vertices}
-    else:
-        in_w = {v: pow(2, g.leaf_counts.get(v, 0), modulus) for v in g.vertices}
-    out_w = {v: 0 if v in g.loops else 1 for v in g.vertices}
-    # nodes[i] = (parent, is_sum, terms): a part's factors and component
-    # counts, to multiply, or a wide component's two branches, to add.  A
-    # node is made after its parent, so folding the nodes into their
-    # parents in reverse order of making evaluates the tree.
-    nodes: list[tuple[int, bool, list[int]]] = []
-    stack = [(-1, adj, in_w, out_w)]
-    while stack:
-        parent, adj, in_w, out_w = stack.pop()
-        factors = _simplify(adj, in_w, out_w, modulus)
-        nodes.append((parent, False, factors))
-        part = len(nodes) - 1
-        if 0 in factors:
-            continue
-        for comp in _components(adj):
-            count = _eliminate(comp, adj, in_w, out_w, modulus)
-            if count is not None:
-                factors.append(count)
-                continue
-            nodes.append((part, True, []))
-            branch = max(comp, key=lambda u: (len(adj[u]), -u))
-            for cover_in in (True, False):
-                sub_in = {v: in_w[v] for v in comp}
-                sub_out = {v: out_w[v] for v in comp}
-                if cover_in:
-                    sub_out[branch] = 0
-                else:
-                    sub_in[branch] = 0
-                    sub_out.update(dict.fromkeys(adj[branch], 0))
-                stack.append((len(nodes) - 1, {v: set(adj[v]) for v in comp}, sub_in, sub_out))
-    for parent, is_sum, terms in reversed(nodes[1:]):
-        nodes[parent][2].append(sum(terms) if is_sum else _product(terms, modulus))
-    return _product(nodes[0][2], modulus)
+    verts = sorted(g.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    weights = [(0 if v in g.loops else 1, 1 << g.leaf_counts.get(v, 0)) for v in verts]
+    return count((((pos[u], pos[v]), _OR0) for u, v in g.edges), weights, modulus)
 
 
 def cover_count_bits(inst: ReductionInstance) -> int:

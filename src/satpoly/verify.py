@@ -27,10 +27,9 @@ from .affine import (
     ternary0_to_ternary1,
 )
 from .easy_eval import easy_evaluate, easy_factor, expand_factored
-from .elimination import min_degree_order
+from .elimination import ELIM_WIDTH, min_degree_order
 from .formulas import (
     _ELIM_COST_RATIO,
-    _ELIM_WIDTH,
     _TABLE_VARS,
     Formula,
     count_sat,
@@ -498,27 +497,32 @@ def _check_formula_polynomials(rng: random.Random) -> str:
 
 def _check_elimination_vs_enumeration(rng: random.Random) -> str:
     # poly_of_formula lists the models by truth table up to _TABLE_VARS and
-    # depth-first above, so elimination is checked against both
+    # depth-first above, so elimination is checked against both; the wide
+    # formulas are conditioned by elimination.count before any elimination
+    cases = [(n, "banded") for n in (20, 22, 23, 24, 25, 26) for _ in range(5)]
+    cases += [(24, "or0"), (25, "clause3-or2"), (26, "planted"), (27, "or0"), (28, "planted")]
     models = 0
-    for n in (20, 22, 23, 24, 25, 26):
-        for _ in range(5):
+    for n, kind in cases:
+        if kind == "banded":
             f = gen.random_banded_formula(rng, n)
-            _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
-            assert width <= _ELIM_WIDTH, f"banded formula of width {width}"
-            if n <= _TABLE_VARS:
-                assert _ELIM_COST_RATIO * cost < 1 << n, f"banded formula of cost {cost}"
-            n_sat = count_sat(f)
-            poly = poly_of_formula(f)
-            assert len(poly.terms) == n_sat, "elimination count differs from the models listed"
-            point = gen.random_point(rng, n)
-            assert eval_formula_poly(f, point) == poly.evaluate(point), (
-                "elimination value differs from the enumerated polynomial"
-            )
-            assert eval_formula_poly(f, [Fraction(1)] * n) == n_sat, (
-                "all-ones evaluation is not the model count"
-            )
-            models += n_sat
-    return f"30 banded formulas of 20-26 variables, {models} models listed"
+        else:
+            f = gen.random_wide_formula(rng, n, kind)
+        _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
+        assert (width > ELIM_WIDTH) == (kind != "banded"), f"{kind} formula of width {width}"
+        if n <= _TABLE_VARS:
+            assert _ELIM_COST_RATIO * cost < 1 << n, f"banded formula of cost {cost}"
+        n_sat = count_sat(f)
+        poly = poly_of_formula(f)
+        assert len(poly.terms) == n_sat, "elimination count differs from the models listed"
+        point = gen.random_point(rng, n)
+        assert eval_formula_poly(f, point) == poly.evaluate(point), (
+            "elimination value differs from the enumerated polynomial"
+        )
+        assert eval_formula_poly(f, [Fraction(1)] * n) == n_sat, (
+            "all-ones evaluation is not the model count"
+        )
+        models += n_sat
+    return f"30 banded formulas of 20-26 variables, 5 wide ones of 24-28, {models} models listed"
 
 
 def _check_homogeneous_components(rng: random.Random) -> str:

@@ -142,10 +142,15 @@ def parse_point(text: str, n: int) -> list[Fraction]:
     toks = [t for t in text.replace(",", " ").split() if t]
     if len(toks) != n:
         raise ParseError(f"point has {len(toks)} coordinates, formula has {n} variables")
-    try:
-        return [Fraction(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational in point: {exc}") from None
+    point = []
+    for t in toks:  # exponent notation is refused, not expanded
+        if "e" in t or "E" in t:
+            raise ParseError(f"exponent notation is not accepted: {t!r}")
+        try:
+            point.append(Fraction(t))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational in point: {exc}") from None
+    return point
 
 
 def parse_formula_file(text, relations=None) -> Formula:

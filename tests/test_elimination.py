@@ -1,9 +1,11 @@
 from itertools import product
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satpoly.elimination import constraint_factor, min_degree_order, weighted_count
+from satpoly import elimination as elimination_mod
+from satpoly.elimination import constraint_factor, count, min_degree_order, weighted_count
 from satpoly.relations import BUILTIN_RELATIONS, xor_relation
 
 from strategies import small_relations
@@ -76,7 +78,8 @@ def brute_weighted_count(num_vars, constraints, weights):
     return total
 
 
-weights_st = st.tuples(st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40))
+weight_st = st.one_of(st.integers(-2, 2), st.integers(-(1 << 40), 1 << 40))
+weights_st = st.tuples(weight_st, weight_st)
 
 
 @st.composite
@@ -133,6 +136,19 @@ def test_weighted_count_modulo_n_reduces_every_step():
     exact = weighted_count(factors, weights, order)
     assert exact.bit_length() > 1000 * (n // 2)
     assert weighted_count(factors, weights, order, modulus) == exact % modulus
+
+
+@given(applied_constraints(), st.sampled_from([-1, 0, 1, 2, 11]),
+       st.one_of(st.none(), st.integers(2, 1 << 70)))
+def test_count_matches_enumeration_at_every_elimination_width(case, width, modulus):
+    # width -1 conditions every component and eliminates none; the weights
+    # include 0 often enough to fix variables in the folds
+    n, cons, weights = case
+    factors = [constraint_factor(rel, args) for rel, args in cons]
+    with mock.patch.object(elimination_mod, "ELIM_WIDTH", width):
+        got = count(factors, weights, modulus)
+    want = brute_weighted_count(n, cons, weights)
+    assert got == (want if modulus is None else want % modulus)
 
 
 def test_min_degree_order_stops_past_max_width():

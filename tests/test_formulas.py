@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +22,9 @@ from satpoly.formulas import (
     poly_of_formula,
 )
 from satpoly._bits import iter_bits
-from satpoly.elimination import min_degree_order
+from satpoly import elimination as elimination_mod
+from satpoly import generators as gen
+from satpoly.elimination import constraint_factor, min_degree_order, weighted_count
 from satpoly.graphs import build_partial_perm_graph
 from satpoly.polynomial import MultilinearPoly
 from satpoly.reductions import is_to_negative2sat
@@ -108,17 +111,18 @@ def test_all_ones_is_model_count(f):
 
 
 def test_backtracking_path_above_table_limit():
-    # 23 constrained variables exceed the table limit; the chain is narrow,
-    # so it is eliminated, and with _ELIM_WIDTH = -1 searched depth-first.
-    # A chain of OR0 clauses counts strings with no two adjacent zeros,
-    # i.e. a Fibonacci number (independent recurrence)
+    # 23 constrained variables exceed the table limit, so elimination.count
+    # runs; with its ELIM_WIDTH at -1 it conditions every component and
+    # eliminates none.  A chain of OR0 clauses counts strings with no two
+    # adjacent zeros, i.e. a Fibonacci number (independent recurrence)
     fib = [1, 2]  # fib[n] = strings of length n with no two adjacent zeros
     while len(fib) < 24:
         fib.append(fib[-1] + fib[-2])
     cons = tuple((B["OR0"], (i, i + 1)) for i in range(22))
     f = Formula(23, cons)
     assert count_sat(f) == fib[23]
-    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+    with mock.patch.object(elimination_mod, "ELIM_WIDTH", -1), \
+            mock.patch.object(elimination_mod, "weighted_count", side_effect=AssertionError):
         assert count_sat(f) == fib[23]
     assert count_sat(Formula(24, ())) == 1 << 24
 
@@ -201,33 +205,49 @@ def test_fold_table_random(weights, data):
 six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
 
 
-def fail(name):
-    return mock.patch.object(formulas_mod, name, side_effect=AssertionError)
+def fail(name, module=formulas_mod):
+    return mock.patch.object(module, name, side_effect=AssertionError)
 
 
-def three_routes(fn, f, *args):
-    """fn's result on the truth table, on variable elimination and on the DFS, each forced.
+def listed(f, point):
+    """The model count and the value at point of the polynomial poly_of_formula lists."""
+    poly = poly_of_formula(f)
+    return len(poly.terms), poly.evaluate(point)
 
-    _ELIM_WIDTH = -1 turns elimination off, so a formula within _TABLE_VARS
-    takes the table; _TABLE_VARS = -1 sends every formula, even one with no
-    constrained variable, past the table and its cost test, to elimination
-    or, with _ELIM_WIDTH = -1 too, to the DFS.  No route reaches another.
+
+def routes(f, point):
+    """(count, value at point) by each route, each forced; no route reaches another.
+
+    - table: formulas' ELIM_WIDTH = -1 turns the cost rule's elimination off;
+    - eliminate: _TABLE_VARS = -1 sends every formula to elimination.count;
+    - condition: so does it, with count's ELIM_WIDTH = -1, so that every
+      component is conditioned and none eliminated;
+    - listed, listed-dfs: poly_of_formula's models, listed from the truth
+      table and, with _TABLE_VARS = -1, depth-first.
     """
-    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1), fail("_sat_assignments_dfs"):
-        table = fn(f, *args)
+    def both():
+        return count_sat(f), eval_formula_poly(f, point)
+
+    out = {}
+    with fail("_sat_assignments_dfs"):
+        with mock.patch.object(formulas_mod, "ELIM_WIDTH", -1), fail("weighted_count"), \
+                fail("count"):
+            out["table"] = both()
+        with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"), \
+                fail("weighted_count"):
+            out["eliminate"] = both()
+            with mock.patch.object(elimination_mod, "ELIM_WIDTH", -1), \
+                    fail("weighted_count", elimination_mod):
+                out["condition"] = both()
+        out["listed"] = listed(f, point)
     with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"):
-        with fail("_sat_assignments_dfs"):
-            elim = fn(f, *args)
-        with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1), fail("weighted_count"):
-            dfs = fn(f, *args)
-    return table, elim, dfs
+        out["listed-dfs"] = listed(f, point)
+    return out
 
 
 def assert_routes_agree(f, point):
-    table, elim, dfs = three_routes(count_sat, f)
-    assert table == elim == dfs
-    table, elim, dfs = three_routes(eval_formula_poly, f, point)
-    assert table == elim == dfs
+    out = routes(f, point)
+    assert len(set(out.values())) == 1, out
 
 
 @given(formulas(max_vars=12), st.data())
@@ -309,23 +329,23 @@ def test_banded_formulas_within_the_table_limit_are_eliminated(n):
     f = banded_formula(rng, n)
     small = [F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
     big = six_digit_point(rng, n)
-    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+    with fail("_sat_table"), fail("_sat_assignments_dfs"), fail("count"):
         elim = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
-    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
+    with mock.patch.object(formulas_mod, "ELIM_WIDTH", -1), fail("weighted_count"):
         table = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
     assert elim == table and elim[0] > 0
 
 
 def test_dense_formula_whose_order_costs_more_than_its_table_takes_the_table():
     # OR0 on every pair of 12 variables: at most one variable is 0.  The
-    # width, 11, is within _ELIM_WIDTH, so the cost alone sends it to the table
+    # width, 11, is within ELIM_WIDTH, so the cost alone sends it to the table
     n = 12
     f = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
     _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
-    assert width <= formulas_mod._ELIM_WIDTH
+    assert width <= formulas_mod.ELIM_WIDTH
     assert formulas_mod._ELIM_COST_RATIO * cost >= 1 << n
     table = mock.Mock(wraps=formulas_mod._sat_table)
-    with fail("weighted_count"), fail("_sat_assignments_dfs"), \
+    with fail("weighted_count"), fail("count"), fail("_sat_assignments_dfs"), \
             mock.patch.object(formulas_mod, "_sat_table", table):
         assert count_sat(f) == n + 1
         point = [F(i + 1) for i in range(n)]
@@ -338,31 +358,64 @@ def test_dense_formula_whose_order_costs_more_than_its_table_takes_the_table():
 
 @pytest.mark.parametrize("n", range(23, 29))
 def test_elimination_matches_dfs_on_banded_formulas(n):
+    # above the table limit poly_of_formula lists the models depth-first
     rng = random.Random(f"banded/{n}")
     f = banded_formula(rng, n)
     point = six_digit_point(rng, n)
     with fail("_sat_assignments_dfs"):
         elim = count_sat(f), eval_formula_poly(f, point)
-    with mock.patch.object(formulas_mod, "_ELIM_WIDTH", -1):
-        dfs = count_sat(f), eval_formula_poly(f, point)
-    assert elim == dfs and elim[0] > 0
+    assert elim == listed(f, point) and elim[0] > 0
 
 
-def test_formula_wider_than_elim_width_takes_the_dfs():
-    # OR0 on every pair of 24 variables: at most one variable is 0
+def test_formula_wider_than_elim_width_is_conditioned_not_searched():
+    # OR0 on every pair of 24 variables: at most one variable is 0.  Its
+    # width, 23, is past ELIM_WIDTH, so count conditions it down to a
+    # clique it can eliminate; neither count_sat nor eval searches the models
     n = 24
     f = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
-    assert min_degree_order(n, (args for _, args in f.constraints))[1] > formulas_mod._ELIM_WIDTH
-    dfs = mock.Mock(wraps=formulas_mod._sat_assignments_dfs)
-    with mock.patch.object(formulas_mod, "weighted_count", side_effect=AssertionError), \
-            mock.patch.object(formulas_mod, "_sat_assignments_dfs", dfs):
+    assert min_degree_order(n, (args for _, args in f.constraints))[1] > elimination_mod.ELIM_WIDTH
+    counter = mock.Mock(wraps=elimination_mod.count)
+    eliminated = mock.Mock(wraps=elimination_mod.weighted_count)
+    with fail("_sat_assignments_dfs"), fail("_sat_table"), fail("weighted_count"), \
+            mock.patch.object(formulas_mod, "count", counter), \
+            mock.patch.object(elimination_mod, "weighted_count", eliminated):
         assert count_sat(f) == n + 1
         point = [F(i + 1) for i in range(n)]
         all_ones = 1
         for x in point:
             all_ones *= x
         assert eval_formula_poly(f, point) == all_ones * (1 + sum(1 / x for x in point))
-    assert dfs.call_count == 2
+    assert counter.call_count == 2 and eliminated.call_count == 2
+
+
+@pytest.mark.parametrize("kind", ["or0", "clause3-or2", "planted"])
+@pytest.mark.parametrize("n", [24, 26, 28])
+def test_wide_formulas_match_the_models_listed_depth_first(kind, n):
+    # past ELIM_WIDTH and the table: count conditions, poly_of_formula
+    # lists the models depth-first (each listing here takes under 1 s)
+    rng = random.Random(f"wide/{kind}/{n}")
+    f = gen.random_wide_formula(rng, n, kind)
+    assert 12 <= min_degree_order(n, (args for _, args in f.constraints))[1] <= 21
+    point = six_digit_point(rng, n)
+    with fail("_sat_assignments_dfs"):
+        counted = count_sat(f), eval_formula_poly(f, point)
+    assert counted == listed(f, point)
+
+
+@pytest.mark.parametrize("n", [25, 28])
+def test_wide_clause3_formulas_match_elimination_along_one_order(n):
+    # 10**5-10**7 models: listing them takes minutes, so count's folds,
+    # splits and conditioning are checked against plain bucket elimination
+    # along the whole formula's min-degree order, with no width limit
+    rng = random.Random(f"wide/clause3/{n}")
+    f = gen.random_wide_formula(rng, n, "clause3")
+    order, width, _ = min_degree_order(n, (args for _, args in f.constraints))
+    assert 12 <= width <= 21
+    point = six_digit_point(rng, n)
+    factors = [constraint_factor(rel, args) for rel, args in f.constraints]
+    assert count_sat(f) == weighted_count(factors, [(1, 1)] * n, order)
+    total = weighted_count(factors, [(x.denominator, x.numerator) for x in point], order)
+    assert eval_formula_poly(f, point) == F(total, math.prod(x.denominator for x in point))
 
 
 FORMULA_FILE = """\

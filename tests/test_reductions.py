@@ -47,7 +47,7 @@ from satpoly.reductions import (
     simulate_neg_weights,
     vc_to_positive2sat,
 )
-import satpoly.reductions as reductions_mod
+import satpoly.elimination as elimination_mod
 import reference_paths as reference
 
 F = Fraction
@@ -573,7 +573,8 @@ def _disjoint_union(graphs):
 
 
 def _eliminate_calls(g):
-    with mock.patch.object(reductions_mod, "_eliminate", wraps=reductions_mod._eliminate) as spy:
+    with mock.patch.object(elimination_mod, "weighted_count",
+                           wraps=elimination_mod.weighted_count) as spy:
         count = count_vertex_covers(g)
     return count, spy.call_count
 
