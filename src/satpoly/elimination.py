@@ -10,10 +10,12 @@ reducing every product and sum modulo N gives the result modulo N.
 
 weighted_count eliminates variables along an order of the primal graph
 (two variables adjacent when a factor uses both); along a min-degree order
-of width d every table it builds has at most 2**(d + 1) entries.  count,
-the one counter for formulas and vertex covers alike, folds what needs no
-table first, splits the rest into components, eliminates those at most
-ELIM_WIDTH wide and conditions wider ones.
+of width d every table it builds has at most 2**(d + 1) entries.  count
+is the one counter for model counts, formula values and vertex covers
+alike, whatever their size: it folds what needs no table first, splits
+the rest into components, eliminates those at most ELIM_WIDTH wide and
+conditions wider ones.  No other module reads ELIM_WIDTH or chooses
+between these steps.
 """
 
 from __future__ import annotations
@@ -36,16 +38,14 @@ ELIM_WIDTH = 11
 
 def min_degree_order(
     num_vars: int, scopes: Iterable[Sequence[int]], max_width: Optional[int] = None
-) -> tuple[list[int], int, int]:
-    """A min-degree elimination order of variables 0..num_vars-1, its width and its cost.
+) -> tuple[list[int], int]:
+    """A min-degree elimination order of variables 0..num_vars-1 and its width.
 
-    The cost is the sum of 2**(degree + 1) over the eliminated variables:
-    the number of entries of the joint tables weighted_count builds along
-    the order.  The heap holds (degree, vertex) entries; an entry whose
-    degree is no longer current is dropped when popped, so no step scans
-    for the next vertex.  Ties go to the lowest index.  Once the width
-    passes max_width the search stops: the order is then cut short and
-    only its width, above max_width, means anything.
+    The heap holds (degree, vertex) entries; an entry whose degree is no
+    longer current is dropped when popped, so no step scans for the next
+    vertex.  Ties go to the lowest index.  Once the width passes max_width
+    the search stops: the order is then cut short and only its width,
+    above max_width, means anything.
     """
     adj: list[set[int]] = [set() for _ in range(num_vars)]
     for scope in scopes:
@@ -57,17 +57,16 @@ def min_degree_order(
     heapq.heapify(heap)
     done = [False] * num_vars
     order: list[int] = []
-    width = cost = 0
+    width = 0
     while heap:
         degree, v = heapq.heappop(heap)
         if done[v] or degree != len(adj[v]):
             continue
         if max_width is not None and degree > max_width:
-            return order, degree, cost
+            return order, degree
         done[v] = True
         order.append(v)
         width = max(width, degree)
-        cost += 2 << degree
         nbrs = adj[v]
         for u in nbrs:
             fill = adj[u]
@@ -75,7 +74,7 @@ def min_degree_order(
             fill.update(nbrs)  # the neighbours of v become a clique
             fill.discard(u)
             heapq.heappush(heap, (len(fill), u))
-    return order, width, cost
+    return order, width
 
 
 def constraint_factor(rel: Relation, args: Sequence[int]) -> Factor:
@@ -308,7 +307,7 @@ class _Part:
         facs = self.facs
         pos = {v: i for i, v in enumerate(comp)}
         local = [(tuple(map(pos.__getitem__, facs[fid][0])), facs[fid][1]) for fid in fids]
-        order, width, _ = min_degree_order(len(comp), (scope for scope, _ in local), ELIM_WIDTH)
+        order, width = min_degree_order(len(comp), (scope for scope, _ in local), ELIM_WIDTH)
         if width > ELIM_WIDTH:
             return None
         return weighted_count(local, [self.w[v] for v in comp], order, self.modulus)

@@ -2,26 +2,22 @@
 
 The polynomial of a formula sums one monomial per satisfying assignment,
 the monomial collecting the variables assigned 1.  Evaluating that
-polynomial at all-ones recovers the model count.  Counting and evaluation
-take one of three exact routes, chosen by predicted cost:
+polynomial at all-ones recovers the model count.  count_sat and
+eval_formula_poly are each one weighted count by satpoly.elimination.count
+over the 0/1 factors of the constraints: the model count weighs every
+variable (1, 1), and the value at a point p/q weighs variable v by
+(q_v, p_v) and divides by the product of the q_v.  Numerators and
+denominators are carried separately as integers, so every result is exact.
 
-- up to _TABLE_VARS constrained variables, variable elimination along the
-  formula's min-degree order (satpoly.elimination) when that order is at
-  most ELIM_WIDTH wide and _ELIM_COST_RATIO times its cost (the entries of
-  the tables it builds) is below the 2**m entries of the truth table;
-- otherwise, up to _TABLE_VARS constrained variables, a bit-parallel truth
-  table: the satisfying set is a big integer, counted by popcount, and
-  evaluation at a rational point folds it one variable at a time;
-- above _TABLE_VARS, elimination.count: folds, components, elimination of
-  the narrow ones and conditioning of the wide ones.
-
-Numerators and denominators are carried separately as integers, so every
-result is exact.  poly_of_formula lists the models themselves, by table or
-depth-first search; it shares no counting code with the routes above.
+poly_of_formula lists the models themselves, from a bit-parallel truth
+table up to _TABLE_VARS constrained variables and depth-first above.  The
+listing shares no counting code with count_sat and eval_formula_poly at
+any size, so verify can compare the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,18 +26,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._bits import factor_table, table_bits, table_full, table_var
-from .elimination import ELIM_WIDTH, constraint_factor, count, min_degree_order, weighted_count
+from .elimination import constraint_factor, count
 from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .polynomial import MultilinearPoly
 from .relations import Relation, parity_constant, resolve_relation
 
 MAX_ENUM_VARS = 30  # hard ceiling for exact enumeration
-_TABLE_VARS = 22  # above this, elimination.count
-# Time of one elimination table entry over one truth-table entry (build
-# plus popcount or fold): the median break-even ratio was 29-51 on
-# 12-22-variable formulas of width 3-11, for counts, small and 6-digit
-# points, and 32 came within 4% of the best routing's summed time
-_ELIM_COST_RATIO = 32
+# poly_of_formula lists the models of at most this many constrained
+# variables from their truth table, and of more depth-first
+_TABLE_VARS = 22
 
 Constraint = tuple[Relation, tuple[int, ...]]
 
@@ -169,35 +162,12 @@ def _sat_assignments_dfs(f: Formula, cvars: list[int]):
     yield from rec(0, 0)
 
 
-def _weighted_count(f: Formula, cvars: list[int], weights: list[tuple[int, int]]) -> Optional[int]:
-    """Weighted model count over cvars, or None when the truth table costs less.
-
-    weights[i] = (w0, w1) weighs cvars[i] at 0 and at 1.  Above _TABLE_VARS
-    constrained variables elimination.count runs; below, elimination along
-    the min-degree order when it is at most ELIM_WIDTH wide and cheaper
-    than the table.
-    """
-    m = len(cvars)
-    pos = {v: i for i, v in enumerate(cvars)}
-    local = [(rel, [pos[a] for a in args]) for rel, args in f.constraints]
-    factors = (constraint_factor(rel, args) for rel, args in local)
-    if m > _TABLE_VARS:
-        return count(factors, weights)
-    order, width, cost = min_degree_order(m, (args for _, args in local), ELIM_WIDTH)
-    if width > ELIM_WIDTH or _ELIM_COST_RATIO * cost >= 1 << m:
-        return None
-    return weighted_count(factors, weights, order)
-
-
 def count_sat(f: Formula) -> int:
     """Exact number of satisfying assignments."""
     if f.num_vars > MAX_ENUM_VARS:
         raise BoundExceeded(f"count_sat is limited to {MAX_ENUM_VARS} variables")
-    cvars = _constrained_vars(f)
-    n_sat = _weighted_count(f, cvars, [(1, 1)] * len(cvars))
-    if n_sat is None:
-        n_sat = _sat_table(f, cvars).bit_count()
-    return n_sat << f.num_vars - len(cvars)
+    factors = (constraint_factor(rel, args) for rel, args in f.constraints)
+    return count(factors, [(1, 1)] * f.num_vars)
 
 
 def poly_of_formula(f: Formula) -> MultilinearPoly:
@@ -227,32 +197,6 @@ def poly_of_formula(f: Formula) -> MultilinearPoly:
     return poly
 
 
-_INT64_SAFE = 1 << 62
-
-
-def _fold_table(table: int, weights: list[tuple[int, int]]) -> int:
-    """Sum over assignments e of table[e] * prod(p_i if bit else q_i).
-
-    Folds out one variable per pass, lowest first.  After the first k passes
-    every entry lies within prod(|p_i| + q_i) over those k weights, so the
-    passes run in vectorized int64 while that running bound fits; the
-    2**(m-k) entries left then finish in Python integers.
-    """
-    a = table_bits(table, len(weights)).astype(np.int64)
-    bound = 1
-    k = 0
-    for p, q in weights:
-        bound *= abs(p) + q
-        if bound >= _INT64_SAFE:
-            break
-        a = a[0::2] * q + a[1::2] * p
-        k += 1
-    vals = a.tolist()
-    for p, q in weights[k:]:
-        vals = [lo * q + hi * p for lo, hi in zip(vals[0::2], vals[1::2])]
-    return vals[0]
-
-
 def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:
     """Value of the formula's polynomial at a rational point, monomials never built."""
     if len(point) != f.num_vars:
@@ -260,22 +204,9 @@ def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:
     if f.num_vars > MAX_ENUM_VARS:
         raise BoundExceeded(f"eval_formula_poly is limited to {MAX_ENUM_VARS} variables")
     pt = [Fraction(x) for x in point]
-    cvars = _constrained_vars(f)
-    cset = set(cvars)
-    factor = Fraction(1)
-    for v in range(f.num_vars):
-        if v not in cset:
-            factor *= 1 + pt[v]  # unconstrained variables contribute (1 + X_v)
-    if not cvars:
-        return factor
-    weights = [(pt[v].numerator, pt[v].denominator) for v in cvars]
-    total = _weighted_count(f, cvars, [(q, p) for p, q in weights])
-    if total is None:
-        total = _fold_table(_sat_table(f, cvars), weights)
-    denom = 1
-    for _, q in weights:
-        denom *= q
-    return Fraction(total, denom) * factor
+    factors = (constraint_factor(rel, args) for rel, args in f.constraints)
+    total = count(factors, [(x.denominator, x.numerator) for x in pt])
+    return Fraction(total, math.prod(x.denominator for x in pt))
 
 
 # ---------------------------------------------------------------------------

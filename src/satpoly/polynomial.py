@@ -16,7 +16,7 @@ difference.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._bits import iter_bits
 
@@ -56,17 +56,7 @@ class MultilinearPoly:
     def variable(cls, num_vars: int, index: int) -> "MultilinearPoly":
         return cls(num_vars, {1 << index: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, num_vars: int, variables: Iterable[int], coeff=1) -> "MultilinearPoly":
-        mask = 0
-        for v in variables:
-            mask |= 1 << v
-        return cls(num_vars, {mask: Fraction(coeff)})
-
     # -- queries -------------------------------------------------------
-
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
 
     def as_fraction(self) -> Fraction:
         """Value of a constant polynomial."""
@@ -74,12 +64,6 @@ class MultilinearPoly:
         if nonconst:
             raise ValueError("polynomial is not constant")
         return self.terms.get(0, Fraction(0))
-
-    def coefficient(self, variables: Iterable[int]) -> Fraction:
-        mask = 0
-        for v in variables:
-            mask |= 1 << v
-        return self.terms.get(mask, Fraction(0))
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:

@@ -46,9 +46,6 @@ class Relation:
             if len(t) != self.rank or any(b not in (0, 1) for b in t):
                 raise ValueError(f"bad accepted tuple {t!r} for rank {self.rank}")
 
-    def accepts(self, values: BitTuple) -> bool:
-        return tuple(values) in self.accepted
-
     def __repr__(self):
         return f"Relation({self.name!r}, rank={self.rank}, |accepted|={len(self.accepted)})"
 

@@ -29,7 +29,6 @@ from .affine import (
 from .easy_eval import easy_evaluate, easy_factor, expand_factored
 from .elimination import ELIM_WIDTH, min_degree_order
 from .formulas import (
-    _ELIM_COST_RATIO,
     _TABLE_VARS,
     Formula,
     count_sat,
@@ -495,22 +494,33 @@ def _check_formula_polynomials(rng: random.Random) -> str:
     return "100 formulas: counts, coefficients, streaming evaluation, diagonal case"
 
 
+def _wide_formula(rng: random.Random, n: int, kind: str) -> Formula:
+    """The first of up to 1000 random_wide_formula draws wider than ELIM_WIDTH."""
+    for _ in range(1000):
+        f = gen.random_wide_formula(rng, n, kind)
+        if min_degree_order(n, (args for _, args in f.constraints))[1] > ELIM_WIDTH:
+            break
+    return f
+
+
 def _check_elimination_vs_enumeration(rng: random.Random) -> str:
-    # poly_of_formula lists the models by truth table up to _TABLE_VARS and
-    # depth-first above, so elimination is checked against both; the wide
-    # formulas are conditioned by elimination.count before any elimination
+    # count_sat and eval_formula_poly are elimination.count, which eliminates
+    # the banded formulas and conditions the wide ones; poly_of_formula lists
+    # the models by truth table up to _TABLE_VARS and depth-first above, so
+    # both the eliminating and the conditioning count meet both listings
     cases = [(n, "banded") for n in (20, 22, 23, 24, 25, 26) for _ in range(5)]
+    cases += [(18, "planted"), (19, "or0"), (20, "clause3-or2"), (21, "clause3"), (22, "or0")]
     cases += [(24, "or0"), (25, "clause3-or2"), (26, "planted"), (27, "or0"), (28, "planted")]
     models = 0
     for n, kind in cases:
         if kind == "banded":
             f = gen.random_banded_formula(rng, n)
+        elif n <= _TABLE_VARS:  # below 23 variables most draws are narrow
+            f = _wide_formula(rng, n, kind)
         else:
             f = gen.random_wide_formula(rng, n, kind)
-        _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
+        width = min_degree_order(n, (args for _, args in f.constraints))[1]
         assert (width > ELIM_WIDTH) == (kind != "banded"), f"{kind} formula of width {width}"
-        if n <= _TABLE_VARS:
-            assert _ELIM_COST_RATIO * cost < 1 << n, f"banded formula of cost {cost}"
         n_sat = count_sat(f)
         poly = poly_of_formula(f)
         assert len(poly.terms) == n_sat, "elimination count differs from the models listed"
@@ -522,7 +532,10 @@ def _check_elimination_vs_enumeration(rng: random.Random) -> str:
             "all-ones evaluation is not the model count"
         )
         models += n_sat
-    return f"30 banded formulas of 20-26 variables, 5 wide ones of 24-28, {models} models listed"
+    return (
+        f"30 banded formulas of 20-26 variables, 5 wide ones of 18-22 and 5 of 24-28, "
+        f"{models} models listed"
+    )
 
 
 def _check_homogeneous_components(rng: random.Random) -> str:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import satpoly.cli as cli
 import satpoly.formulas as formulas_mod
 from satpoly.errors import ParseError, parse_rational
-from satpoly.formulas import Formula, count_sat
+from satpoly.formulas import Formula
 from satpoly.graphs import Var, parse_graph_file
 from satpoly.implement import Implementation
 from satpoly.posets import Poset, antichain_poly, format_poset_file
@@ -190,6 +190,12 @@ def random_graph_text(rng, n):
     return "\n".join(lines) + "\n"
 
 
+def table_count(f):
+    """Models of f by popcount of its truth table, times 2 per free variable."""
+    cvars = sorted({a for _, args in f.constraints for a in args})
+    return formulas_mod._sat_table(f, cvars).bit_count() << f.num_vars - len(cvars)
+
+
 def test_count_vc_is_matches_2sat_encoding_and_brute_force(tmp_path, capsys):
     rng = random.Random(2024)
     for n in range(21):
@@ -203,12 +209,11 @@ def test_count_vc_is_matches_2sat_encoding_and_brute_force(tmp_path, capsys):
                 assert code == 0
                 counts[kind] = int(json.loads(out)["count"])
             if n:  # the encoders pad the empty graph to one free variable
-                # the cover counter is elimination.count; the encodings are
-                # counted on their truth tables, which share no code with it
-                with mock.patch.object(formulas_mod, "ELIM_WIDTH", -1), \
-                        mock.patch.object(formulas_mod, "count", side_effect=AssertionError):
-                    assert counts["vc"] == count_sat(vc_to_positive2sat(g))
-                    assert counts["is"] == count_sat(is_to_negative2sat(g))
+                # the cover counter is elimination.count, as is count_sat; the
+                # encodings are counted on their truth tables, which share no
+                # code with it
+                assert counts["vc"] == table_count(vc_to_positive2sat(g))
+                assert counts["is"] == table_count(is_to_negative2sat(g))
             if n <= 12:
                 ug = UnweightedGraph(g.vertices, g.plain_edges(), g.loops())
                 assert counts["vc"] == counts["is"] == brute_count_vertex_covers(ug)
@@ -248,7 +253,7 @@ def no_dfs():
 
 
 def test_count_ideals_of_disjoint_chains(tmp_path, capsys):
-    # 25 elements: past the truth table, eliminated; a chain of length L
+    # 25 elements, eliminated rather than searched; a chain of length L
     # has L + 1 ideals and the ideals of a disjoint union multiply
     lengths = [6, 5, 5, 4, 3, 2]
     lines = ["p poset 25"] + [f"v {x} 1" for x in range(25)]

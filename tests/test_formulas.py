@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from satpoly.errors import BoundExceeded, ParseError
 from satpoly import formulas as formulas_mod
 from satpoly.formulas import (
-    _INT64_SAFE,
     Formula,
-    _fold_table,
     _table_models,
     count_sat,
     eval_assignment,
@@ -27,7 +25,8 @@ from satpoly import generators as gen
 from satpoly.elimination import constraint_factor, min_degree_order, weighted_count
 from satpoly.graphs import build_partial_perm_graph
 from satpoly.polynomial import MultilinearPoly
-from satpoly.reductions import is_to_negative2sat
+from satpoly.posets import Poset
+from satpoly.reductions import ideal_to_implicative2sat, is_to_negative2sat
 from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, xor_relation
 
 import reference_paths as reference
@@ -98,23 +97,25 @@ def test_rational_evaluation_exact():
 @given(formulas(max_vars=7), st.data())
 def test_streaming_matches_materialized(f, data):
     point = data.draw(points_for(f.num_vars))
-    assert eval_formula_poly(f, point) == poly_of_formula(f).evaluate(point)
+    with fail("_sat_table"):
+        value = eval_formula_poly(f, point)
+    assert value == poly_of_formula(f).evaluate(point)
 
 
 @given(formulas(max_vars=7))
 def test_all_ones_is_model_count(f):
-    n = count_sat(f)
-    assert eval_formula_poly(f, [1] * f.num_vars) == n
+    with fail("_sat_table"):
+        n = count_sat(f)
+        assert eval_formula_poly(f, [1] * f.num_vars) == n
     poly = poly_of_formula(f)
     assert len(poly.terms) == n
     assert all(c == 1 for c in poly.terms.values())
 
 
-def test_backtracking_path_above_table_limit():
-    # 23 constrained variables exceed the table limit, so elimination.count
-    # runs; with its ELIM_WIDTH at -1 it conditions every component and
-    # eliminates none.  A chain of OR0 clauses counts strings with no two
-    # adjacent zeros, i.e. a Fibonacci number (independent recurrence)
+def test_or0_path_counts_fibonacci():
+    # with elimination's ELIM_WIDTH at -1, count folds and conditions but
+    # eliminates no component.  A chain of OR0 clauses counts strings with no
+    # two adjacent zeros, i.e. a Fibonacci number (independent recurrence)
     fib = [1, 2]  # fib[n] = strings of length n with no two adjacent zeros
     while len(fib) < 24:
         fib.append(fib[-1] + fib[-2])
@@ -125,50 +126,6 @@ def test_backtracking_path_above_table_limit():
             mock.patch.object(elimination_mod, "weighted_count", side_effect=AssertionError):
         assert count_sat(f) == fib[23]
     assert count_sat(Formula(24, ())) == 1 << 24
-
-
-def python_fold(table, weights):
-    """Reference for _fold_table: one Python-int product per set bit."""
-    total = 0
-    for e in iter_bits(table):
-        prod = 1
-        for i, (p, q) in enumerate(weights):
-            prod *= p if e >> i & 1 else q
-        total += prod
-    return total
-
-
-def fold_bound_passes(weights):
-    """How many leading passes keep the running bound below _INT64_SAFE."""
-    bound = 1
-    for k, (p, q) in enumerate(weights):
-        bound *= abs(p) + q
-        if bound >= _INT64_SAFE:
-            return k
-    return len(weights)
-
-
-FOLD_CASES = {
-    # name: (weights, passes folded in int64)
-    "never-crosses": ([(3, 2), (-5, 7), (1, 1), (0, 4), (-1, 3)], 5),
-    "crosses-first": ([(1 << 62, 1), (2, 3), (-1, 1)], 0),
-    "crosses-middle": ([(1 << 32, 1), (-(1 << 31), 3), (7, 2), (5, 1)], 1),
-    "crosses-last": ([(1 << 20, 1), (1 << 20, 1), (-(1 << 22), 1)], 2),
-    "bound-just-below": ([(1 << 61, (1 << 61) - 1), (1, 1)], 1),
-    "bound-exactly-safe": ([(1 << 61, 1 << 61), (1, 1)], 0),
-    "six-digit": ([(-987654, 123457), (654321, 999983), (-1, 999999), (314159, 2)], 3),
-    "zero-numerators": ([(0, 1 << 40), (0, 1 << 40), (0, 5)], 1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FOLD_CASES))
-def test_fold_table_matches_python_fold(name):
-    weights, passes = FOLD_CASES[name]
-    assert fold_bound_passes(weights) == passes
-    m = len(weights)
-    full = (1 << (1 << m)) - 1
-    for table in (0, full, 1, 1 << ((1 << m) - 1), 0b1011_0110_1001_1101 & full):
-        assert _fold_table(table, weights) == python_fold(table, weights)
 
 
 @st.composite
@@ -190,18 +147,6 @@ def test_table_models_edge_cases():
     assert _table_models(1 << ((1 << 12) - 1), 12) == [(1 << 12) - 1]
 
 
-weights_st = st.tuples(
-    st.one_of(st.integers(-9, 9), st.integers(-(1 << 40), 1 << 40)),
-    st.one_of(st.integers(1, 9), st.integers(1, 1 << 40)),
-)
-
-
-@given(st.lists(weights_st, min_size=1, max_size=8), st.data())
-def test_fold_table_random(weights, data):
-    table = data.draw(st.integers(0, (1 << (1 << len(weights))) - 1))
-    assert _fold_table(table, weights) == python_fold(table, weights)
-
-
 six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
 
 
@@ -218,9 +163,8 @@ def listed(f, point):
 def routes(f, point):
     """(count, value at point) by each route, each forced; no route reaches another.
 
-    - table: formulas' ELIM_WIDTH = -1 turns the cost rule's elimination off;
-    - eliminate: _TABLE_VARS = -1 sends every formula to elimination.count;
-    - condition: so does it, with count's ELIM_WIDTH = -1, so that every
+    - eliminate: count_sat and eval_formula_poly, that is elimination.count;
+    - condition: the same with count's ELIM_WIDTH = -1, so that every
       component is conditioned and none eliminated;
     - listed, listed-dfs: poly_of_formula's models, listed from the truth
       table and, with _TABLE_VARS = -1, depth-first.
@@ -229,18 +173,14 @@ def routes(f, point):
         return count_sat(f), eval_formula_poly(f, point)
 
     out = {}
-    with fail("_sat_assignments_dfs"):
-        with mock.patch.object(formulas_mod, "ELIM_WIDTH", -1), fail("weighted_count"), \
-                fail("count"):
-            out["table"] = both()
-        with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"), \
-                fail("weighted_count"):
-            out["eliminate"] = both()
-            with mock.patch.object(elimination_mod, "ELIM_WIDTH", -1), \
-                    fail("weighted_count", elimination_mod):
-                out["condition"] = both()
+    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+        out["eliminate"] = both()
+        with mock.patch.object(elimination_mod, "ELIM_WIDTH", -1), \
+                fail("weighted_count", elimination_mod):
+            out["condition"] = both()
+    with fail("count"), fail("_sat_assignments_dfs"):
         out["listed"] = listed(f, point)
-    with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"):
+    with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"), fail("count"):
         out["listed-dfs"] = listed(f, point)
     return out
 
@@ -322,38 +262,21 @@ def six_digit_point(rng, n):
             for _ in range(n)]
 
 
-@pytest.mark.parametrize("n", [20, 21, 22])
-def test_banded_formulas_within_the_table_limit_are_eliminated(n):
-    # their min-degree orders cost far less than a 2**n-entry table
-    rng = random.Random(f"banded-table/{n}")
-    f = banded_formula(rng, n)
-    small = [F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
-    big = six_digit_point(rng, n)
-    with fail("_sat_table"), fail("_sat_assignments_dfs"), fail("count"):
-        elim = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
-    with mock.patch.object(formulas_mod, "ELIM_WIDTH", -1), fail("weighted_count"):
-        table = count_sat(f), eval_formula_poly(f, small), eval_formula_poly(f, big)
-    assert elim == table and elim[0] > 0
-
-
-def test_dense_formula_whose_order_costs_more_than_its_table_takes_the_table():
-    # OR0 on every pair of 12 variables: at most one variable is 0.  The
-    # width, 11, is within ELIM_WIDTH, so the cost alone sends it to the table
-    n = 12
-    f = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
-    _, width, cost = min_degree_order(n, (args for _, args in f.constraints))
-    assert width <= formulas_mod.ELIM_WIDTH
-    assert formulas_mod._ELIM_COST_RATIO * cost >= 1 << n
-    table = mock.Mock(wraps=formulas_mod._sat_table)
-    with fail("weighted_count"), fail("count"), fail("_sat_assignments_dfs"), \
-            mock.patch.object(formulas_mod, "_sat_table", table):
-        assert count_sat(f) == n + 1
-        point = [F(i + 1) for i in range(n)]
-        all_ones = 1
-        for x in point:
-            all_ones *= x
-        assert eval_formula_poly(f, point) == all_ones * (1 + sum(1 / x for x in point))
-    assert table.call_count == 2
+@pytest.mark.parametrize("n", [1, 12, 22, 28])
+def test_count_and_eval_list_no_models_at_any_size(n):
+    # OR0 on every pair of n variables: at most one variable is 0, so n + 1
+    # models.  An n-element chain has n + 1 ideals, its prefixes; its
+    # encoding has one OR1 clause per pair of the closed order
+    clique = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
+    chain = ideal_to_implicative2sat(Poset({x: F(1) for x in range(n)},
+                                           [(x, x + 1) for x in range(n - 1)]))
+    point = [F(i + 2, i + 1) for i in range(n)]
+    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+        assert count_sat(clique) == count_sat(chain) == n + 1
+        all_ones = math.prod(point)
+        assert eval_formula_poly(clique, point) == all_ones * (1 + sum(1 / x for x in point))
+        prefixes = (math.prod(point[:k]) for k in range(n + 1))
+        assert eval_formula_poly(chain, point) == sum(prefixes, F(0))
 
 
 @pytest.mark.parametrize("n", range(23, 29))
@@ -376,7 +299,7 @@ def test_formula_wider_than_elim_width_is_conditioned_not_searched():
     assert min_degree_order(n, (args for _, args in f.constraints))[1] > elimination_mod.ELIM_WIDTH
     counter = mock.Mock(wraps=elimination_mod.count)
     eliminated = mock.Mock(wraps=elimination_mod.weighted_count)
-    with fail("_sat_assignments_dfs"), fail("_sat_table"), fail("weighted_count"), \
+    with fail("_sat_assignments_dfs"), fail("_sat_table"), \
             mock.patch.object(formulas_mod, "count", counter), \
             mock.patch.object(elimination_mod, "weighted_count", eliminated):
         assert count_sat(f) == n + 1
@@ -409,7 +332,7 @@ def test_wide_clause3_formulas_match_elimination_along_one_order(n):
     # along the whole formula's min-degree order, with no width limit
     rng = random.Random(f"wide/clause3/{n}")
     f = gen.random_wide_formula(rng, n, "clause3")
-    order, width, _ = min_degree_order(n, (args for _, args in f.constraints))
+    order, width = min_degree_order(n, (args for _, args in f.constraints))
     assert 12 <= width <= 21
     point = six_digit_point(rng, n)
     factors = [constraint_factor(rel, args) for rel, args in f.constraints]
