@@ -12,20 +12,21 @@ weighted_count eliminates variables along an order of the primal graph
 (two variables adjacent when a factor uses both); along a min-degree order
 of width d every table it builds has at most 2**(d + 1) entries.  count
 is the one counter for model counts, formula values and vertex covers
-alike, whatever their size: it folds what needs no table first, splits
-the rest into components, eliminates those at most ELIM_WIDTH wide and
-conditions wider ones.  No other module reads ELIM_WIDTH or chooses
-between these steps.
+alike, whatever their size: it solves the parity (xor) equations among
+the factors over GF(2), folds what needs no table, splits the rest into
+components, eliminates those at most ELIM_WIDTH wide and conditions wider
+ones.  No other module reads ELIM_WIDTH or chooses between these steps.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Iterable, Optional, Sequence
 
-from ._bits import balanced_product, factor_table, table_bits, table_full, table_var
+from ._bits import balanced_product, factor_table, iter_bits, table_bits, table_full, table_var
 from .relations import Relation
 
 Factor = tuple[tuple[int, ...], list[int]]
@@ -313,6 +314,75 @@ class _Part:
         return weighted_count(local, [self.w[v] for v in comp], order, self.modulus)
 
 
+@lru_cache(maxsize=None)
+def _parity_table(k: int, c: int) -> list[int]:
+    """The table of x1 xor ... xor xk = c; shared, so never written to."""
+    return [(bin(e).count("1") + c + 1) & 1 for e in range(1 << k)]
+
+
+def _solve_parity(factors: list[Factor], w: dict) -> Optional[list[Factor]]:
+    """The factors with their parity equations solved over GF(2); None if unsolvable.
+
+    The equations are brought to reduced row echelon form, each row's pivot
+    its lowest variable, so a pivot p equals a constant plus the xor of its
+    row's other variables, none of them a pivot.  p is then written out of
+    every other factor, each rebuilt as a bit table over its new scope.  p
+    keeps its row as its only factor, unless its two weights are equal: its
+    value is forced and adds that weight whichever it is, so p is left with
+    no factor and weight (w0, 0).  A parity factor's table is the xor of its
+    scope's variables, complemented or not.  If a rebuilt factor or a kept
+    row would span more variables than the widest factor given, the factors
+    are returned as they are, so solving never builds a larger table; a
+    dense system of high rank leaves rows of few variables.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # pivot -> (row mask, constant)
+    rest = []
+    for scope, table in factors:
+        k = len(scope)
+        if k < 2 or table != _parity_table(k, 1 - table[0]):
+            rest.append((scope, table))
+            continue
+        mask, c = sum(1 << u for u in scope), 1 - table[0]
+        for p, (m, pc) in rows.items():
+            if mask >> p & 1:
+                mask, c = mask ^ m, c ^ pc
+        if not mask:
+            if c:
+                return None
+            continue
+        p = (mask & -mask).bit_length() - 1
+        for q, (m, qc) in rows.items():
+            if m >> p & 1:
+                rows[q] = (m ^ mask, qc ^ c)
+        rows[p] = (mask, c)
+    if not rows:
+        return factors
+    widest = max(len(scope) for scope, _ in factors)
+    kept = [p for p in rows if w[p][0] != w[p][1]]
+    if any(rows[p][0].bit_count() > widest for p in kept):
+        return factors
+    solved = [((p, *iter_bits(m ^ 1 << p)), _parity_table(m.bit_count(), c))
+              for p, (m, c) in ((p, rows[p]) for p in kept)]
+    for scope, table in rest:
+        joint = tuple(dict.fromkeys(
+            x for u in scope for x in (iter_bits(rows[u][0] ^ 1 << u) if u in rows else (u,))))
+        if joint == scope:
+            solved.append((scope, table))
+            continue
+        if len(joint) > widest:
+            return factors
+        k = len(joint)
+        full = table_full(k)
+        bases = {x: table_var(j, k) for j, x in enumerate(joint)}
+        for u in rows.keys() & set(scope):
+            m, c = rows[u]
+            bases[u] = reduce(xor, map(bases.get, iter_bits(m ^ 1 << u)), full * c)
+        solved.append((joint, table_bits(factor_table(scope, table, bases, full), k).tolist()))
+    for p in rows.keys() - set(kept):
+        w[p] = (w[p][0], 0)
+    return solved
+
+
 def count(
     factors: Iterable[Factor],
     weights: Sequence[tuple[int, int]],
@@ -320,16 +390,18 @@ def count(
 ) -> int:
     """Sum over all assignments of the product of 0/1 factors and the weights.
 
-    weights[v] = (w0, w1) weighs variable v at 0 and at 1.  The folds run
-    from a worklist: a zero weight fixes its variable and restricts every
-    factor on it, a factor that becomes constant 1 is dropped and a unary
-    one multiplies into its variable's weights; a variable in no factor
-    contributes w0 + w1, and one whose only factor is binary is summed into
-    its partner's weights.  What is left splits into connected components,
-    whose counts multiply.  A component whose min-degree order is at most
-    ELIM_WIDTH wide is eliminated along it; a wider one is conditioned on a
-    variable of highest degree, and each branch (one weight of it set to 0)
-    is folded from that variable and split again.
+    weights[v] = (w0, w1) weighs variable v at 0 and at 1.  The parity
+    equations among the factors are solved over GF(2) first (see
+    _solve_parity).  The folds then run from a worklist: a zero weight
+    fixes its variable and restricts every factor on it, a factor that
+    becomes constant 1 is dropped and a unary one multiplies into its
+    variable's weights; a variable in no factor contributes w0 + w1, and
+    one whose only factor is binary is summed into its partner's weights.
+    What is left splits into connected components, whose counts multiply.
+    A component whose min-degree order is at most ELIM_WIDTH wide is
+    eliminated along it; a wider one is conditioned on a variable of
+    highest degree, and each branch (one weight of it set to 0) is folded
+    from that variable and split again.
 
     The parts and branches form a tree of products and sums, built from an
     explicit stack and evaluated in reverse order of making, so separate
@@ -339,6 +411,9 @@ def count(
     """
     w = {v: pair if modulus is None else (pair[0] % modulus, pair[1] % modulus)
          for v, pair in enumerate(weights)}
+    factors = _solve_parity(list(factors), w)
+    if factors is None:
+        return 0
     root = _Part(w, {v: set() for v in w}, {}, modulus, itertools.count())
     pending = list(w)
     if not all([root.place(scope, table) for scope, table in factors]):

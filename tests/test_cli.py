@@ -192,7 +192,7 @@ def random_graph_text(rng, n):
 
 def table_count(f):
     """Models of f by popcount of its truth table, times 2 per free variable."""
-    cvars = sorted({a for _, args in f.constraints for a in args})
+    cvars = formulas_mod._constrained_vars(f)
     return formulas_mod._sat_table(f, cvars).bit_count() << f.num_vars - len(cvars)
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from unittest import mock
 
@@ -70,6 +71,7 @@ def brute_weighted_count(num_vars, constraints, weights):
     return total
 
 
+XORS = [xor_relation(k, c) for k in (2, 3, 4) for c in (0, 1)]
 weight_st = st.one_of(st.integers(-2, 2), st.integers(-(1 << 40), 1 << 40))
 weights_st = st.tuples(weight_st, weight_st)
 
@@ -79,7 +81,8 @@ def applied_constraints(draw, max_vars=7):
     n = draw(st.integers(1, max_vars))
     cons = []
     for _ in range(draw(st.integers(0, 2 * n))):
-        rel = draw(st.one_of(small_relations, st.sampled_from(sorted(B.values(), key=repr))))
+        rel = draw(st.one_of(small_relations, st.sampled_from(sorted(B.values(), key=repr)),
+                             st.sampled_from(XORS)))
         cons.append((rel, tuple(draw(st.integers(0, n - 1)) for _ in range(rel.rank))))
     weights = [draw(weights_st) for _ in range(n)]
     return n, cons, weights
@@ -150,3 +153,66 @@ def test_min_degree_order_stops_past_max_width():
     assert min_degree_order(6, clique, max_width=5) == min_degree_order(6, clique)
     path = [(i, i + 1) for i in range(9)]
     assert min_degree_order(10, path, max_width=1) == min_degree_order(10, path)
+
+
+def test_parity_pivot_is_written_out_of_other_factors():
+    # NE(1, 2) makes the pivot x1 the negation of x2, so OR0(0, 1) becomes a
+    # factor over (0, 2) that rejects only x0 = 0, x2 = 1; x1 keeps its row
+    # when its weights differ and is left free of factors when they agree
+    factors = [constraint_factor(B["OR0"], (0, 1)), constraint_factor(B["NE"], (1, 2))]
+    w = {0: (1, 1), 1: (2, 3), 2: (1, 1)}
+    assert elimination_mod._solve_parity(factors, w) == [((1, 2), [0, 1, 1, 0]), ((0, 2), [1, 1, 0, 1])]
+    w = {0: (1, 1), 1: (5, 5), 2: (1, 1)}
+    assert elimination_mod._solve_parity(factors, w) == [((0, 2), [1, 1, 0, 1])]
+    assert w[1] == (5, 0)
+
+
+def test_parity_solve_without_solution_or_that_would_widen():
+    contradiction = [constraint_factor(B["EQ"], (0, 1)), constraint_factor(B["NE"], (1, 0))]
+    assert elimination_mod._solve_parity(contradiction, {0: (1, 2), 1: (1, 2)}) is None
+    assert count(contradiction, [(1, 1)] * 2) == 0
+    # a chain of xor3 equations: reduced, the first row spans 4 variables,
+    # more than any factor given, so with unequal weights nothing is solved
+    chain = [constraint_factor(xor_relation(3, 0), (i, i + 1, i + 2)) for i in (0, 2, 4)]
+    w = {v: (1, 2) for v in range(7)}
+    assert elimination_mod._solve_parity(chain, w) is chain
+    assert count(chain, [(1, 1)] * 7) == 2 ** 4
+
+
+def test_dense_parity_is_counted_without_elimination_or_conditioning():
+    # one xor8 equation per variable has rank about n: the solved system
+    # fixes almost every variable, where a table per equation left count
+    # conditioning over thousands of branches
+    rng = random.Random(8)
+    for n in (20, 22, 26):
+        cons = [(xor_relation(8, rng.randrange(2)), tuple(rng.sample(range(n), 8))) for _ in range(n)]
+        factors = [constraint_factor(rel, args) for rel, args in cons]
+        with mock.patch.object(elimination_mod, "weighted_count", side_effect=AssertionError), \
+                mock.patch.object(elimination_mod._Part, "components", no_components):
+            got = count(factors, [(1, 1)] * n)
+        assert got == rank_count(n, cons)
+
+
+def no_components(part):
+    """_Part.components, failing if the folds left any component to eliminate or condition."""
+    comps = list(COMPONENTS(part))
+    assert not comps
+    return iter(comps)
+
+
+COMPONENTS = elimination_mod._Part.components
+
+
+def rank_count(n, cons):
+    """Solutions of the xor equations, 2**(n - rank) or 0, by a row reduction of their own."""
+    rows = []
+    for rel, args in cons:
+        row = sum(1 << a for a in args) | next(iter(rel.accepted)).count(1) % 2 << n
+        for r in rows:
+            if row & (r & -r):
+                row ^= r
+        if row == 1 << n:
+            return 0
+        if row:
+            rows = [r ^ row if r & (row & -row) else r for r in rows] + [row]
+    return 2 ** (n - len(rows))
