@@ -9,10 +9,11 @@ variable (1, 1), and the value at a point p/q weighs variable v by
 (q_v, p_v) and divides by the product of the q_v.  Numerators and
 denominators are carried separately as integers, so every result is exact.
 
-poly_of_formula lists the models themselves, from a bit-parallel truth
-table up to _TABLE_VARS constrained variables and depth-first above.  The
-listing shares no counting code with count_sat and eval_formula_poly at
-any size, so verify can compare the two.
+poly_of_formula lists the models themselves by one depth-first search
+over the constrained variables, checking each constraint against the
+masks its relation accepts, and stops past MAX_POLY_TERMS terms.  The
+listing shares no code with count_sat and eval_formula_poly, so verify
+can compare the two.
 """
 
 from __future__ import annotations
@@ -23,18 +24,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ._bits import factor_table, table_bits, table_full, table_var
 from .elimination import constraint_factor, count
 from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .polynomial import MultilinearPoly
-from .relations import Relation, parity_constant, resolve_relation
+from .relations import Relation, resolve_relation
 
 MAX_ENUM_VARS = 30  # hard ceiling for exact enumeration
-# poly_of_formula lists the models of at most this many constrained
-# variables from their truth table, and of more depth-first
-_TABLE_VARS = 22
+MAX_POLY_TERMS = 1 << 20  # poly_of_formula's output has one term per model
 
 Constraint = tuple[Relation, tuple[int, ...]]
 
@@ -95,71 +91,52 @@ def eval_assignment(f: Formula, assignment: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel satisfying-set tables
+# Counting the models, and listing them depth-first
 
 
-def _constrained_vars(f: Formula) -> list[int]:
-    seen: set[int] = set()
-    for _, args in f.constraints:
-        seen.update(args)
-    return sorted(seen)
+def _patterns(rel: Relation, args: Sequence[int]) -> frozenset[int]:
+    """The masks over args' bits that satisfy rel(args).
+
+    A tuple that gives two copies of a repeated variable different values
+    adds no mask, so a repeated argument restricts rel to the diagonal.
+    """
+    out = set()
+    for t in rel.accepted:
+        value: dict[int, int] = {}
+        if all(value.setdefault(a, bit) == bit for a, bit in zip(args, t)):
+            out.add(sum(1 << a for a, bit in value.items() if bit))
+    return frozenset(out)
 
 
-def _constraint_table(rel: Relation, positions: Sequence[int], bases: list[int], full: int) -> int:
-    """Truth table of one applied constraint over the compressed variable space."""
-    c = parity_constant(rel)
-    if c is not None:
-        acc = 0
-        for p in positions:
-            acc ^= bases[p]  # repeated arguments cancel, matching xor semantics
-        return acc if c == 1 else ~acc & full
-    return factor_table(*constraint_factor(rel, positions), bases, full)
+def _models(f: Formula, cvars: list[int], limit: int) -> list[int]:
+    """The models of f as masks over its variables, its free variables 0.
 
-
-def _sat_table(f: Formula, cvars: list[int]) -> int:
-    """Truth table of the conjunction over the constrained variables."""
-    m = len(cvars)
-    pos = {v: i for i, v in enumerate(cvars)}
-    full = table_full(m)
-    bases = [table_var(i, m) for i in range(m)]
-    table = full
+    Sets the constrained variables in ascending order from an explicit
+    stack and checks each constraint once its last variable is set.  Raises
+    BoundExceeded once more than limit models are found.
+    """
+    checks: list[list[tuple[int, frozenset[int]]]] = [[] for _ in cvars]
+    depth = {v: i for i, v in enumerate(cvars)}
     for rel, args in f.constraints:
-        table &= _constraint_table(rel, [pos[a] for a in args], bases, full)
-        if not table:
-            break
-    return table
-
-
-def _table_models(table: int, m: int) -> list[int]:
-    """The set entries of a truth table over m variables, ascending, in one pass."""
-    return np.flatnonzero(table_bits(table, m)).tolist()
-
-
-def _sat_assignments_dfs(f: Formula, cvars: list[int]):
-    """Yield satisfying assignments (as bitmasks over cvars) by backtracking."""
-    pos = {v: i for i, v in enumerate(cvars)}
+        scope = sum(1 << a for a in set(args))
+        checks[depth[max(args)]].append((scope, _patterns(rel, args)))
+    models: list[int] = []
     m = len(cvars)
-    # constraints become checkable once their last variable is assigned
-    by_last: list[list[tuple[Relation, tuple[int, ...]]]] = [[] for _ in range(m)]
-    for rel, args in f.constraints:
-        local = tuple(pos[a] for a in args)
-        by_last[max(local)].append((rel, local))
-
-    def rec(i: int, mask: int):
+    stack = [(0, 0)]  # (variables set, mask)
+    while stack:
+        i, mask = stack.pop()
         if i == m:
-            yield mask
-            return
-        for bit in (0, 1):
-            cur = mask | (bit << i)
-            ok = True
-            for rel, local in by_last[i]:
-                if tuple(cur >> p & 1 for p in local) not in rel.accepted:
-                    ok = False
+            models.append(mask)
+            if len(models) > limit:
+                raise BoundExceeded(f"poly_of_formula is limited to {MAX_POLY_TERMS} terms")
+            continue
+        for cur in (mask | 1 << cvars[i], mask):
+            for scope, patterns in checks[i]:
+                if cur & scope not in patterns:
                     break
-            if ok:
-                yield from rec(i + 1, cur)
-
-    yield from rec(0, 0)
+            else:
+                stack.append((i + 1, cur))
+    return models
 
 
 def count_sat(f: Formula) -> int:
@@ -174,27 +151,12 @@ def poly_of_formula(f: Formula) -> MultilinearPoly:
     """The polynomial with one unit-coefficient monomial per satisfying assignment."""
     if f.num_vars > MAX_ENUM_VARS:
         raise BoundExceeded(f"poly_of_formula is limited to {MAX_ENUM_VARS} variables")
-    cvars = _constrained_vars(f)
-    if len(cvars) <= _TABLE_VARS:
-        local_masks = _table_models(_sat_table(f, cvars), len(cvars))
-    else:
-        local_masks = _sat_assignments_dfs(f, cvars)
-    terms: dict[int, Fraction] = {}
-    one = Fraction(1)
-    for local in local_masks:
-        mask = 0
-        for i, v in enumerate(cvars):
-            if local >> i & 1:
-                mask |= 1 << v
-        terms[mask] = one
-    poly = MultilinearPoly(f.num_vars, terms)
-    cset = set(cvars)
-    for v in range(f.num_vars):
-        if v not in cset:
-            poly = poly.multiply(
-                MultilinearPoly(f.num_vars, {0: one, 1 << v: one})
-            )
-    return poly
+    cvars = sorted({a for _, args in f.constraints for a in args})
+    free = set(range(f.num_vars)).difference(cvars)
+    models = _models(f, cvars, MAX_POLY_TERMS >> len(free))
+    for v in free:  # each free variable doubles the models
+        models += [m | 1 << v for m in models]
+    return MultilinearPoly(f.num_vars, dict.fromkeys(models, Fraction(1)))
 
 
 def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ._bits import table_full, table_var
+from ._bits import factor_table, table_full, table_var
+from .elimination import constraint_factor
 from .errors import BoundExceeded
-from .formulas import Constraint, Formula, _constraint_table
+from .formulas import Constraint, Formula
 from .relations import Relation, _pack
 
 
@@ -136,7 +137,8 @@ def search_implementation(
         first_atom: dict[int, Constraint] = {}  # table -> first atom with it
         for rel in using:
             for args in product(range(t), repeat=rel.rank):
-                first_atom.setdefault(_constraint_table(rel, args, bases, full), (rel, args))
+                table = factor_table(*constraint_factor(rel, args), bases, full)
+                first_atom.setdefault(table, (rel, args))
         tables = list(first_atom)
         atoms = list(first_atom.values())
         # selector for the extensions of each function-variable assignment

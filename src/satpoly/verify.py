@@ -29,7 +29,6 @@ from .affine import (
 from .easy_eval import easy_evaluate, easy_factor, expand_factored
 from .elimination import ELIM_WIDTH, min_degree_order
 from .formulas import (
-    _TABLE_VARS,
     Formula,
     count_sat,
     eval_formula_poly,
@@ -506,8 +505,8 @@ def _wide_formula(rng: random.Random, n: int, kind: str) -> Formula:
 def _check_elimination_vs_enumeration(rng: random.Random) -> str:
     # count_sat and eval_formula_poly are elimination.count, which eliminates
     # the banded formulas and conditions the wide ones; poly_of_formula lists
-    # the models by truth table up to _TABLE_VARS and depth-first above, so
-    # both the eliminating and the conditioning count meet both listings
+    # the models depth-first, with no code of count, so both the eliminating
+    # and the conditioning count meet an independent listing
     cases = [(n, "banded") for n in (20, 22, 23, 24, 25, 26) for _ in range(5)]
     cases += [(18, "planted"), (19, "or0"), (20, "clause3-or2"), (21, "clause3"), (22, "or0")]
     cases += [(24, "or0"), (25, "clause3-or2"), (26, "planted"), (27, "or0"), (28, "planted")]
@@ -515,10 +514,8 @@ def _check_elimination_vs_enumeration(rng: random.Random) -> str:
     for n, kind in cases:
         if kind == "banded":
             f = gen.random_banded_formula(rng, n)
-        elif n <= _TABLE_VARS:  # below 23 variables most draws are narrow
-            f = _wide_formula(rng, n, kind)
         else:
-            f = gen.random_wide_formula(rng, n, kind)
+            f = _wide_formula(rng, n, kind)
         width = min_degree_order(n, (args for _, args in f.constraints))[1]
         assert (width > ELIM_WIDTH) == (kind != "banded"), f"{kind} formula of width {width}"
         n_sat = count_sat(f)

@@ -25,7 +25,7 @@ from satpoly.reductions import (
     is_to_negative2sat,
     vc_to_positive2sat,
 )
-from satpoly.relations import BUILTIN_RELATIONS
+from satpoly.relations import BUILTIN_RELATIONS, resolve_relation
 
 import reference_paths as reference
 
@@ -190,10 +190,9 @@ def random_graph_text(rng, n):
     return "\n".join(lines) + "\n"
 
 
-def table_count(f):
-    """Models of f by popcount of its truth table, times 2 per free variable."""
-    cvars = formulas_mod._constrained_vars(f)
-    return formulas_mod._sat_table(f, cvars).bit_count() << f.num_vars - len(cvars)
+def listed_count(f):
+    """Models of f, as the terms of the polynomial poly_of_formula lists."""
+    return len(formulas_mod.poly_of_formula(f).terms)
 
 
 def test_count_vc_is_matches_2sat_encoding_and_brute_force(tmp_path, capsys):
@@ -210,10 +209,10 @@ def test_count_vc_is_matches_2sat_encoding_and_brute_force(tmp_path, capsys):
                 counts[kind] = int(json.loads(out)["count"])
             if n:  # the encoders pad the empty graph to one free variable
                 # the cover counter is elimination.count, as is count_sat; the
-                # encodings are counted on their truth tables, which share no
-                # code with it
-                assert counts["vc"] == table_count(vc_to_positive2sat(g))
-                assert counts["is"] == table_count(is_to_negative2sat(g))
+                # models of the encodings are listed depth-first, which shares
+                # no code with it
+                assert counts["vc"] == listed_count(vc_to_positive2sat(g))
+                assert counts["is"] == listed_count(is_to_negative2sat(g))
             if n <= 12:
                 ug = UnweightedGraph(g.vertices, g.plain_edges(), g.loops())
                 assert counts["vc"] == counts["is"] == brute_count_vertex_covers(ug)
@@ -248,8 +247,8 @@ r 2 3
 
 
 def no_dfs():
-    """Fail if a formula is searched depth-first rather than eliminated."""
-    return mock.patch.object(formulas_mod, "_sat_assignments_dfs", side_effect=AssertionError)
+    """Fail if a formula's models are listed rather than counted."""
+    return mock.patch.object(formulas_mod, "_models", side_effect=AssertionError)
 
 
 def test_count_ideals_of_disjoint_chains(tmp_path, capsys):
@@ -445,6 +444,15 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["p csp 30 0\n", "p csp 21 0\n", "p csp 22 1\nOR0 1 2\n"])
+def test_poly_past_the_term_bound_exits_3(tmp_path, capsys, text):
+    # models times 2 per free variable would pass MAX_POLY_TERMS: the listing
+    # stops before any term is built
+    code, out, err = run_cli_err(capsys, "poly", "--formula", write(tmp_path, "f.csp", text))
+    assert code == 3 and out == ""
+    assert err == "bound exceeded: poly_of_formula is limited to 1048576 terms\n"
+
+
 @pytest.mark.parametrize("bipartite", [False, True])
 def test_reduce_count_reports_the_exact_count_or_its_bits(tmp_path, capsys, bipartite):
     for rows in ([[1]], [[0]], [[1, 0], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
@@ -588,18 +596,32 @@ def test_missing_input_option_exits_2(capsys, argv):
 
 
 FUZZ_COMMANDS = {
+    "formula": [("count", "sat"), ("poly",)],
     "graph": [("count", "vc"), ("count", "is"), ("reduce", "vc-to-2sat"), ("reduce", "is-to-2sat")],
     "poset": [("count", "ideals"), ("count", "antichains"), ("reduce", "ideal-to-2sat")],
 }
 # short pieces only: weights go through Fraction(), which expands an exponent
 # such as 1e99999999 in full, so no piece may grow a long exponent
-FUZZ_PIECES = ["0", "1", "-1", "2/3", "1/0", "X", "X0", "X2", "p", "v", "e", "r", "#", " ", "\n", "-"]
+FUZZ_PIECES = ["0", "1", "-1", "2/3", "1/0", "X", "X0", "X2", "p", "v", "e", "r", "#", " ", "\n", "-",
+               "csp", "NE", "xor3_1"]
+FUZZ_RELATIONS = [resolve_relation(name) for name in
+                  ("OR0", "OR1", "OR2", "CLAUSE3", "EQ", "NE", "xor3_1", "T", "F")]
+
+
+def atoms(n):
+    """One constraint line's relation name and 1-based arguments, repeats allowed."""
+    return st.sampled_from(FUZZ_RELATIONS).flatmap(lambda rel: st.tuples(
+        st.just(rel.name), st.lists(st.integers(1, n), min_size=rel.rank, max_size=rel.rank)))
 
 
 @st.composite
 def valid_input_texts(draw):
     kind = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     n = draw(st.integers(0, 12))
+    if kind == "formula":
+        cons = draw(st.lists(atoms(n), max_size=16)) if n else []
+        lines = [f"p csp {n} {len(cons)}"] + [" ".join([name, *map(str, args)]) for name, args in cons]
+        return kind, "\n".join(lines) + "\n"
     weights = [draw(st.sampled_from(["1", "-1", "1/2", f"X{i + 1}"])) for i in range(n)]
     if kind == "graph":
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
@@ -641,7 +663,10 @@ def test_mutated_input_files_keep_the_exit_contract(tmp_path, capsys, case, data
     kind, text = case
     command = data.draw(st.sampled_from(FUZZ_COMMANDS[kind]))
     path = write(tmp_path, "fuzz.txt", text)
-    code, out, err = run_cli_err(capsys, *command, f"--{kind}", path)
+    # a mutated header can free up to 30 variables: a lower term bound keeps
+    # each poly small and reaches its exit 3
+    with mock.patch.object(formulas_mod, "MAX_POLY_TERMS", 1 << 12):
+        code, out, err = run_cli_err(capsys, *command, f"--{kind}", path)
     assert code in (0, 2, 3, 4)
     assert out == "" or (out.count("\n") == 1 and isinstance(json.loads(out), dict))
     assert err.count("\n") <= 1

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +13,6 @@ from satpoly.errors import BoundExceeded, ParseError
 from satpoly import formulas as formulas_mod
 from satpoly.formulas import (
     Formula,
-    _table_models,
     count_sat,
     eval_assignment,
     eval_formula_poly,
@@ -19,7 +20,7 @@ from satpoly.formulas import (
     parse_formula_file,
     poly_of_formula,
 )
-from satpoly._bits import iter_bits
+from satpoly import _bits as bits_mod
 from satpoly import elimination as elimination_mod
 from satpoly import generators as gen
 from satpoly.elimination import constraint_factor, min_degree_order, weighted_count
@@ -67,6 +68,18 @@ def test_poly_of_formula_examples():
     assert poly_of_formula(chain) == MultilinearPoly(3, {0b001: F(1), 0b110: F(1)})
 
 
+def test_poly_of_formula_stops_past_max_poly_terms():
+    # each free variable doubles the terms; a formula with no models has none
+    or0 = (B["OR0"], (0, 1))
+    with mock.patch.object(formulas_mod, "MAX_POLY_TERMS", 16):
+        assert len(poly_of_formula(Formula(4, ())).terms) == 16
+        assert len(poly_of_formula(Formula(4, (or0,))).terms) == 12
+        assert poly_of_formula(Formula(30, ((B["NE"], (0, 0)),))).terms == {}
+        for f in (Formula(5, ()), Formula(5, (or0,))):
+            with pytest.raises(BoundExceeded):
+                poly_of_formula(f)
+
+
 def test_eval_formula_poly_examples():
     f = Formula(2, ((B["OR0"], (0, 1)),))
     assert eval_formula_poly(f, [1, 1]) == 3
@@ -97,14 +110,14 @@ def test_rational_evaluation_exact():
 @given(formulas(max_vars=7), st.data())
 def test_streaming_matches_materialized(f, data):
     point = data.draw(points_for(f.num_vars))
-    with fail("_sat_table"):
+    with fail("_models"):
         value = eval_formula_poly(f, point)
     assert value == poly_of_formula(f).evaluate(point)
 
 
 @given(formulas(max_vars=7))
 def test_all_ones_is_model_count(f):
-    with fail("_sat_table"):
+    with fail("_models"):
         n = count_sat(f)
         assert eval_formula_poly(f, [1] * f.num_vars) == n
     poly = poly_of_formula(f)
@@ -128,25 +141,6 @@ def test_or0_path_counts_fibonacci():
     assert count_sat(Formula(24, ())) == 1 << 24
 
 
-@st.composite
-def tables(draw, max_vars=8):
-    m = draw(st.integers(0, max_vars))
-    full = (1 << (1 << m)) - 1
-    return m, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
-
-
-@given(tables())
-def test_table_models_match_iter_bits(case):
-    m, table = case
-    assert _table_models(table, m) == list(iter_bits(table))
-
-
-def test_table_models_edge_cases():
-    assert _table_models(0, 0) == [] and _table_models(1, 0) == [0]
-    assert _table_models((1 << (1 << 10)) - 1, 10) == list(range(1 << 10))
-    assert _table_models(1 << ((1 << 12) - 1), 12) == [(1 << 12) - 1]
-
-
 six_digit = st.builds(F, st.integers(-999_999, 999_999), st.integers(1, 999_999))
 
 
@@ -154,9 +148,27 @@ def fail(name, module=formulas_mod):
     return mock.patch.object(module, name, side_effect=AssertionError)
 
 
+@contextlib.contextmanager
+def unreachable(*modules):
+    """Make every function the modules define fail, under each name satpoly binds it to."""
+    defined = {id(obj) for mod in modules for obj in vars(mod).values()
+               if callable(obj) and getattr(obj, "__module__", None) == mod.__name__}
+    with contextlib.ExitStack() as stack:
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("satpoly"):
+                for name, obj in list(vars(mod).items()):
+                    if id(obj) in defined:
+                        stack.enter_context(fail(name, mod))
+        yield
+
+
 def listed(f, point):
-    """The model count and the value at point of the polynomial poly_of_formula lists."""
-    poly = poly_of_formula(f)
+    """The model count and the value at point of the polynomial poly_of_formula lists.
+
+    The listing runs with every function of elimination and _bits failing.
+    """
+    with unreachable(elimination_mod, bits_mod):
+        poly = poly_of_formula(f)
     return len(poly.terms), poly.evaluate(point)
 
 
@@ -166,22 +178,18 @@ def routes(f, point):
     - eliminate: count_sat and eval_formula_poly, that is elimination.count;
     - condition: the same with count's ELIM_WIDTH = -1, so that every
       component is conditioned and none eliminated;
-    - listed, listed-dfs: poly_of_formula's models, listed from the truth
-      table and, with _TABLE_VARS = -1, depth-first.
+    - listed: poly_of_formula's models, listed depth-first.
     """
     def both():
         return count_sat(f), eval_formula_poly(f, point)
 
     out = {}
-    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+    with fail("_models"):
         out["eliminate"] = both()
         with mock.patch.object(elimination_mod, "ELIM_WIDTH", -1), \
                 fail("weighted_count", elimination_mod):
             out["condition"] = both()
-    with fail("count"), fail("_sat_assignments_dfs"):
-        out["listed"] = listed(f, point)
-    with mock.patch.object(formulas_mod, "_TABLE_VARS", -1), fail("_sat_table"), fail("count"):
-        out["listed-dfs"] = listed(f, point)
+    out["listed"] = listed(f, point)
     return out
 
 
@@ -191,7 +199,7 @@ def assert_routes_agree(f, point):
 
 
 @given(formulas(max_vars=12), st.data())
-def test_table_elimination_and_dfs_paths_agree_at_six_digit_points(f, data):
+def test_elimination_conditioning_and_listing_agree_at_six_digit_points(f, data):
     point = [data.draw(six_digit) for _ in range(f.num_vars)]
     assert_routes_agree(f, point)
 
@@ -271,7 +279,7 @@ def test_count_and_eval_list_no_models_at_any_size(n):
     chain = ideal_to_implicative2sat(Poset({x: F(1) for x in range(n)},
                                            [(x, x + 1) for x in range(n - 1)]))
     point = [F(i + 2, i + 1) for i in range(n)]
-    with fail("_sat_table"), fail("_sat_assignments_dfs"):
+    with fail("_models"):
         assert count_sat(clique) == count_sat(chain) == n + 1
         all_ones = math.prod(point)
         assert eval_formula_poly(clique, point) == all_ones * (1 + sum(1 / x for x in point))
@@ -279,13 +287,48 @@ def test_count_and_eval_list_no_models_at_any_size(n):
         assert eval_formula_poly(chain, point) == sum(prefixes, F(0))
 
 
+@pytest.mark.parametrize("n", [1, 12, 22, 28])
+def test_listing_reaches_no_code_of_the_counter(n):
+    # poly_of_formula lists the models with every function of elimination
+    # and _bits failing, so a fault there cannot hide on both sides of verify
+    clique = Formula(n, tuple((B["OR0"], (i, j)) for i in range(n) for j in range(i + 1, n)))
+    if n > 6:
+        banded = banded_formula(random.Random(f"listing/{n}"), n)
+    else:
+        banded = Formula(n, ((B["OR0"], (0, 0)),))
+    with unreachable(elimination_mod, bits_mod):
+        listed_clique = poly_of_formula(clique)
+        listed_banded = poly_of_formula(banded)
+    assert len(listed_clique.terms) == n + 1
+    assert set(listed_clique.terms) == {(1 << n) - 1} | {((1 << n) - 1) ^ 1 << v for v in range(n)}
+    assert len(listed_banded.terms) == count_sat(banded) > 0
+
+
+@pytest.mark.parametrize("n", [23, 26])
+def test_repeated_arguments_above_22_variables_match_the_count(n):
+    # OR0(x, x) forces x = 1, xor3_c(x, x, y) forces y = c and NE(y, y)
+    # rejects every assignment; x and c are read off a model of the banded
+    # formula, so that g keeps it, and all three routes must agree
+    rng = random.Random(f"repeated/{n}")
+    f = banded_formula(rng, n)
+    model = next(iter(poly_of_formula(f).terms))
+    x = next(v for v in range(n) if model >> v & 1)
+    y = rng.randrange(n)
+    pinned = f.constraints + ((B["OR0"], (x, x)), (xor_relation(3, model >> y & 1), (x, x, y)))
+    g = Formula(n, pinned)
+    h = Formula(n, pinned + ((B["NE"], (y, y)),))
+    point = six_digit_point(rng, n)
+    assert count_sat(g) > 0 and count_sat(h) == 0
+    assert_routes_agree(g, point)
+    assert_routes_agree(h, point)
+
+
 @pytest.mark.parametrize("n", range(23, 29))
 def test_elimination_matches_dfs_on_banded_formulas(n):
-    # above the table limit poly_of_formula lists the models depth-first
     rng = random.Random(f"banded/{n}")
     f = banded_formula(rng, n)
     point = six_digit_point(rng, n)
-    with fail("_sat_assignments_dfs"):
+    with fail("_models"):
         elim = count_sat(f), eval_formula_poly(f, point)
     assert elim == listed(f, point) and elim[0] > 0
 
@@ -299,8 +342,7 @@ def test_formula_wider_than_elim_width_is_conditioned_not_searched():
     assert min_degree_order(n, (args for _, args in f.constraints))[1] > elimination_mod.ELIM_WIDTH
     counter = mock.Mock(wraps=elimination_mod.count)
     eliminated = mock.Mock(wraps=elimination_mod.weighted_count)
-    with fail("_sat_assignments_dfs"), fail("_sat_table"), \
-            mock.patch.object(formulas_mod, "count", counter), \
+    with fail("_models"), mock.patch.object(formulas_mod, "count", counter), \
             mock.patch.object(elimination_mod, "weighted_count", eliminated):
         assert count_sat(f) == n + 1
         point = [F(i + 1) for i in range(n)]
@@ -314,13 +356,13 @@ def test_formula_wider_than_elim_width_is_conditioned_not_searched():
 @pytest.mark.parametrize("kind", ["or0", "clause3-or2", "planted"])
 @pytest.mark.parametrize("n", [24, 26, 28])
 def test_wide_formulas_match_the_models_listed_depth_first(kind, n):
-    # past ELIM_WIDTH and the table: count conditions, poly_of_formula
-    # lists the models depth-first (each listing here takes under 1 s)
+    # past ELIM_WIDTH: count conditions, poly_of_formula lists the models
+    # depth-first (each listing here takes under 1 s)
     rng = random.Random(f"wide/{kind}/{n}")
     f = gen.random_wide_formula(rng, n, kind)
     assert 12 <= min_degree_order(n, (args for _, args in f.constraints))[1] <= 21
     point = six_digit_point(rng, n)
-    with fail("_sat_assignments_dfs"):
+    with fail("_models"):
         counted = count_sat(f), eval_formula_poly(f, point)
     assert counted == listed(f, point)
 
