@@ -9,8 +9,14 @@ then factors as
 
 which evaluates in near-linear time, far beyond the reach of enumeration.
 
-Factoring decomposes each distinct relation once and replays its local
-forcings and parity links on every constraint.  Evaluation converts each
+Factoring decomposes each distinct relation once and applies its local
+forcings and parity links to all of its constraints at once, as numpy
+arrays.  The components come from hook and compress in the style of
+Shiloach and Vishkin: rounds of pointer jumping and of hooking roots onto
+their smallest neighbouring root, with each variable's parity to its root
+carried along, so the rounds grow with log n, not with the number of
+constraints.  Link consistency, the forcings and the two sides of every
+component are then read off whole arrays.  Evaluation converts each
 distinct coordinate once and stays in integers: every component yields a
 numerator and a denominator, each list is multiplied as a balanced
 product, and a single Fraction at the end does the only gcd reduction.
@@ -20,8 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
-from typing import Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ._bits import balanced_product
 from .errors import SatPolyError
@@ -46,68 +56,57 @@ class FactoredPoly:
     components: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
-class _ParityUnionFind:
-    """Union-find where each node carries its parity relative to its root."""
+def _local_decomposition(rel) -> Optional[tuple[list[tuple[int, int]], list[tuple[int, int, int]]]]:
+    """A relation's width-2 constraints as (index, bit) forcings and (i, j, parity) links.
 
-    __slots__ = ("parent", "size", "parity")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.parity = [0] * n
-
-    def find(self, v: int) -> tuple[int, int]:
-        parent = self.parent
-        parity = self.parity
-        root, p = v, 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        # second pass: point the whole path at the root
-        acc = p
-        while parent[v] != root:
-            nxt = parent[v]
-            nxt_acc = acc ^ parity[v]
-            parent[v] = root
-            parity[v] = acc
-            v, acc = nxt, nxt_acc
-        return root, p
-
-    def union(self, u: int, v: int, rel_parity: int) -> bool:
-        """Record u xor v = rel_parity; False on contradiction.
-
-        Union by size keeps every path within log2(n) links, so the two
-        root walks here skip find's path compression and its call.
-        """
-        parent = self.parent
-        parity = self.parity
-        ru, pu = u, 0
-        while parent[ru] != ru:
-            pu ^= parity[ru]
-            ru = parent[ru]
-        rv, pv = v, 0
-        while parent[rv] != rv:
-            pv ^= parity[rv]
-            rv = parent[rv]
-        if ru == rv:
-            return (pu ^ pv) == rel_parity
-        if self.size[ru] > self.size[rv]:
-            ru, rv = rv, ru
-            pu, pv = pv, pu
-        self.parent[ru] = rv
-        self.parity[ru] = pu ^ pv ^ rel_parity
-        self.size[rv] += self.size[ru]
-        return True
-
-
-def _local_decomposition(rel) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
-    """A relation's width-2 constraints as (index, bit) forcings and (i, j, parity) links."""
+    None when the relation is not width-2 expressible.
+    """
     decomp = _width2_expressible(rel)
-    if decomp is None:  # a used relation missing from the declared table
-        raise SatPolyError(f"relation {rel.name} is not width-2 expressible")
+    if decomp is None:
+        return None
     forcings = [(c[1], 1 if c[0] == "const1" else 0) for c in decomp if len(c) == 2]
     links = [(c[1], c[2], 0 if c[0] == "eq" else 1) for c in decomp if len(c) == 3]
     return forcings, links
+
+
+def _parity_roots(n: int, u: np.ndarray, v: np.ndarray, p: np.ndarray):
+    """Each variable's root and its parity to the root, under the links x_u xor x_v = p.
+
+    Hook and compress: every round points each variable at its root by
+    pointer jumping, drops the links inside one root's tree, and hooks
+    each root that is the larger end of a live link onto its smallest
+    neighbouring root.  Hooks only go downwards, so every root ends as the
+    smallest variable of its component.  A root that has no smaller
+    neighbour and receives no hook in one round has one in the next, so
+    the number of roots in a component halves at least every two rounds,
+    and a round past that bound is a fault.  The parities are only carried
+    here; the caller checks the links.
+    """
+    parent = np.arange(n, dtype=u.dtype)
+    par = np.zeros(n, dtype=np.int8)  # x_w = x_parent[w] xor par[w]
+    for _ in range(2 * n.bit_length() + 1):
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            par ^= par[parent]
+            parent = grand
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            return parent, par
+        # the live links, restated between the two roots
+        p = par[u[live]] ^ par[v[live]] ^ p[live]
+        ru, rv = ru[live], rv[live]
+        u, v = np.maximum(ru, rv), np.minimum(ru, rv)
+        best = np.full(n, n, dtype=u.dtype)
+        np.minimum.at(best, u, v)
+        win = v == best[u]
+        hooked = u[win]
+        # several winners for one root agree unless the links are inconsistent
+        parent[hooked] = v[win]
+        par[hooked] = p[win]
+    raise RuntimeError(f"hooking took more than {2 * n.bit_length()} rounds")
 
 
 def easy_factor(f: Formula) -> FactoredPoly:
@@ -122,65 +121,83 @@ def easy_factor(f: Formula) -> FactoredPoly:
             raise SatPolyError(f"relation set is not easy (witness: {cls.witness})")
 
     n = f.num_vars
-    uf = _ParityUnionFind(n)
-    union = uf.union
-    # keyed by identity: a parsed formula shares one Relation object per name,
-    # and hashing a Relation per constraint would cost more than the lookup saves
-    local: dict[int, tuple] = {}
-    forcings: list[tuple[int, int]] = []  # (variable, forced bit)
-    consistent = True
-    for rel, args in f.constraints:
-        dec = local.get(id(rel))
-        if dec is None:
-            dec = local[id(rel)] = _local_decomposition(rel)
-        rel_forcings, links = dec
-        for i, bit in rel_forcings:
-            forcings.append((args[i], bit))
+    idx = np.int32 if n < 1 << 30 else np.int64  # 2 * n + 1 fits
+    # gather: one code per constraint for its relation, keyed by identity (a
+    # parsed formula shares one Relation object per name), and every
+    # argument in one flat array; constraint k's arguments start at start[k]
+    cons_rels = list(map(itemgetter(0), f.constraints))
+    ids = list(map(id, cons_rels))
+    by_id = dict(zip(ids, cons_rels))  # the distinct relations, first-seen order
+    code_of = dict(zip(by_id, range(len(by_id))))
+    codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int32, count=len(ids))
+    ranks = np.array([rel.rank for rel in by_id.values()], dtype=idx)[codes]
+    start = np.cumsum(ranks) - ranks
+    all_args = chain.from_iterable(map(itemgetter(1), f.constraints))
+    flat = np.fromiter(all_args, dtype=idx, count=int(ranks.sum()))
+    del ids, ranks
+
+    decomps = [_local_decomposition(rel) for rel in by_id.values()]
+    missing = None  # a used relation missing from the declared table
+    if None in decomps:
+        # only the constraints before its first use count: an inconsistency
+        # among their links makes the formula inconsistent, as it would
+        # constraint by constraint
+        bad = [code for code, decomp in enumerate(decomps) if decomp is None]
+        cut = int(np.flatnonzero(np.isin(codes, bad))[0])
+        missing, codes, start = cons_rels[cut], codes[:cut], start[:cut]
+
+    link_u, link_v, link_p, force_var, force_bit = [], [], [], [], []
+    for code, decomp in enumerate(decomps):
+        if decomp is None:
+            continue
+        rows = start[codes == code]
+        forcings, links = decomp
+        for i, bit in forcings:
+            force_var.append(flat[rows + i])
+            force_bit.append(np.full(len(rows), bit, dtype=np.int8))
         for i, j, parity in links:
-            if not union(args[i], args[j], parity):
-                consistent = False
-                break
-        if not consistent:
-            break
+            link_u.append(flat[rows + i])
+            link_v.append(flat[rows + j])
+            link_p.append(np.full(len(rows), parity, dtype=np.int8))
+    del flat, start, codes
+    u = np.concatenate(link_u or [np.zeros(0, dtype=idx)])
+    v = np.concatenate(link_v or [np.zeros(0, dtype=idx)])
+    p = np.concatenate(link_p or [np.zeros(0, dtype=np.int8)])
+    del link_u, link_v, link_p
+    root, par = _parity_roots(n, u, v, p)
 
-    forced_value: dict[int, int] = {}  # root -> value of the root
-    if consistent:
-        for var, bit in forcings:
-            root, p = uf.find(var)
-            want = bit ^ p
-            if forced_value.setdefault(root, want) != want:
-                consistent = False
-                break
+    inconsistent = FactoredPoly(n, False, frozenset(), ())
+    if np.any(par[u] ^ par[v] != p):
+        return inconsistent
+    if missing is not None:
+        raise SatPolyError(f"relation {missing.name} is not width-2 expressible")
+    del u, v, p
 
-    if not consistent:
-        return FactoredPoly(n, False, frozenset(), ())
+    # the value forced on each root, -1 when its component is free
+    state = np.full(n, -1, dtype=np.int8)
+    if force_var:
+        fvar = np.concatenate(force_var)
+        fval = np.concatenate(force_bit) ^ par[fvar]
+        froot = root[fvar]
+        state[froot] = fval
+        if np.any(state[froot] != fval):
+            return inconsistent
+    state = state[root]  # now of each variable's root
+    forced = frozenset(np.flatnonzero(state ^ par == 1).tolist())
 
-    # gathered in variable order, so each group starts with its smallest
-    # variable and the groups come ordered by it
-    members: dict[int, list[tuple[int, int]]] = {}  # root -> [(var, parity)]
-    find = uf.find
-    for v in range(n):
-        root, p = find(v)
-        group = members.get(root)
-        if group is None:
-            members[root] = [(v, p)]
-        else:
-            group.append((v, p))
-
-    forced_vars: set[int] = set()
-    components: list[tuple[frozenset[int], frozenset[int]]] = []
-    for root, group in members.items():
-        if root in forced_value:
-            rv = forced_value[root]
-            forced_vars.update(v for v, p in group if rv ^ p == 1)
-        else:
-            # the representative is the group's smallest variable; v equals
-            # rep's value exactly when their parities to the root agree
-            rep_parity = group[0][1]
-            zero = frozenset(v for v, p in group if p != rep_parity)
-            one = frozenset(v for v, p in group if p == rep_parity)
-            components.append((zero, one))
-    return FactoredPoly(n, True, frozenset(forced_vars), tuple(components))
+    # free variables sorted by (root, side): components ordered by their
+    # representative, the root, and in each the zero side (parity 1 to the
+    # root) before the one side, which holds the root
+    free = np.flatnonzero(state < 0).astype(idx)
+    key = 2 * root[free] + (par[free] ^ 1)
+    order = np.argsort(key)
+    key = key[order]
+    reps = free[root[free] == free]
+    cuts = np.searchsorted(key, np.stack([2 * reps, 2 * reps + 1], axis=1).ravel()).tolist()
+    cuts.append(len(key))
+    members = free[order].tolist()
+    sides = map(frozenset, map(members.__getitem__, map(slice, cuts, cuts[1:])))
+    return FactoredPoly(n, True, forced, tuple(zip(sides, sides)))
 
 
 # a left fold of small factors beats pairing up to 4096-8192 of them (measured)

@@ -19,9 +19,10 @@ can compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .elimination import constraint_factor, count
@@ -66,10 +67,21 @@ class Formula:
     def relation_set(self) -> tuple[Relation, ...]:
         if self.relation_table is not None:
             return self.relation_table
-        seen: dict[Relation, None] = {}
-        for rel, _ in self.constraints:
-            seen.setdefault(rel)
-        return tuple(seen)
+        # by identity first, then by equality: a parsed formula shares one
+        # Relation object per name, and hashing the dataclass per constraint
+        # would cost more than the id() lookups
+        rels = list(map(itemgetter(0), self.constraints))
+        by_id = dict(zip(map(id, rels), rels))
+        return tuple(dict.fromkeys(by_id.values()))
+
+
+def _checked_formula(num_vars: int, constraints: tuple[Constraint, ...],
+                     relation_table: Optional[tuple[Relation, ...]]) -> Formula:
+    """A Formula built without __post_init__'s checks, for a caller that made them."""
+    f = object.__new__(Formula)
+    for fld, value in zip(fields(Formula), (num_vars, constraints, relation_table)):
+        object.__setattr__(f, fld.name, value)
+    return f
 
 
 def formula(num_vars: int, constraints, relation_table=None) -> Formula:
@@ -232,7 +244,8 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
         for rel in dict.fromkeys(resolved.values()):
             merged.setdefault(rel.name, rel)
         table = tuple(merged.values())
-    return Formula(num_vars, tuple(constraints), table)
+    # every rank and range is checked above, with the line number
+    return _checked_formula(num_vars, tuple(constraints), table)
 
 
 def format_formula_file(f: Formula) -> str:

@@ -180,3 +180,121 @@ def test_wrong_point_length_message_matches_reference():
     with pytest.raises(ValueError) as old:
         reference.evaluate_factored(fp, [1])
     assert str(new.value) == str(old.value)
+
+
+# ---------------------------------------------------------------------------
+# Large shapes against the union-find reference: orders that make hooking
+# take many rounds or deep trees, dense graphs, and the inconsistent forms
+
+LARGE = 100_000
+
+
+def _links_along(order, rng):
+    return [(a, b, rng.randrange(2)) for a, b in zip(order, order[1:])]
+
+
+def _planted_links(pairs, rng, n):
+    """EQ/NE links that a random planted assignment satisfies."""
+    state = [rng.randrange(2) for _ in range(n)]
+    return [(a, b, state[a] ^ state[b]) for a, b in pairs], state
+
+
+def _large_case(shape):
+    rng = random.Random(f"easy-factor/{shape}")
+    n = LARGE
+    perm = list(range(n))
+    rng.shuffle(perm)
+    centre = n - 1
+    forcings = []
+    if shape == "path-ascending":
+        links = _links_along(range(n), rng)
+    elif shape == "path-descending":
+        links = _links_along(range(n - 1, -1, -1), rng)
+    elif shape == "path-shuffled":
+        links = _links_along(perm, rng)
+    elif shape == "star-centre-first":
+        # leaves ascending here and descending below: a centre that hooked
+        # onto its last or first neighbour instead of its smallest would
+        # move one leaf per round
+        links = [(centre, leaf, rng.randrange(2)) for leaf in range(n - 1)]
+    elif shape == "star-centre-last":
+        links = [(leaf, centre, rng.randrange(2)) for leaf in range(n - 2, -1, -1)]
+    elif shape == "zigzag":
+        links = _links_along([v for k in range(n // 2) for v in (k, n - 1 - k)], rng)
+    elif shape == "random-tree":
+        links = [(perm[rng.randrange(k)], perm[k], rng.randrange(2)) for k in range(1, n)]
+    elif shape.startswith("random-graph"):
+        # a spanning tree first, so the last link closes a cycle
+        pairs = [(perm[rng.randrange(k)], perm[k]) for k in range(1, n)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n + 1)]
+        links, _ = _planted_links(pairs, rng, n)
+        if shape == "random-graph-inconsistent":
+            a, b, parity = links[-1]
+            links[-1] = (a, b, parity ^ 1)
+        rng.shuffle(links)
+    elif shape == "all-forced":
+        pairs = [(perm[rng.randrange(k)], perm[k]) for k in range(1, n)]
+        links, state = _planted_links(pairs, rng, n)
+        forcings = [(v, state[v]) for v in rng.sample(range(n), 100)]
+    elif shape == "forcing-clash":
+        links, state = _planted_links(list(zip(range(n), range(1, n))), rng, n)
+        forcings = [(0, state[0]), (n - 1, state[n - 1] ^ 1)]
+    elif shape == "ne-self":
+        links = _links_along(perm, rng) + [(perm[n // 2], perm[n // 2], 1)]
+    else:
+        raise ValueError(shape)
+    cons = [(B["NE" if parity else "EQ"], (a, b)) for a, b, parity in links]
+    cons += [(B["T" if bit else "F"], (v,)) for v, bit in forcings]
+    return Formula(n, tuple(cons))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "path-ascending", "path-descending", "path-shuffled", "star-centre-first",
+        "star-centre-last", "zigzag", "random-tree", "random-graph-consistent",
+        "random-graph-inconsistent", "all-forced", "forcing-clash", "ne-self",
+    ],
+)
+def test_large_shapes_match_reference(shape):
+    f = _large_case(shape)
+    fp = easy_factor(f)
+    assert fp == reference.easy_factor(f)
+    consistent = shape not in ("random-graph-inconsistent", "forcing-clash", "ne-self")
+    assert fp.consistent == consistent
+    if shape == "all-forced":
+        assert fp.components == () and fp.forced
+    elif consistent:
+        assert len(fp.components) == 1
+
+
+def _factor_outcome(factor, f):
+    try:
+        return "ok", factor(f)
+    except SatPolyError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "cons, outcome",
+    [
+        ([("NE", (0, 0)), ("OR0", (1, 2))], "ok"),
+        ([("EQ", (0, 1)), ("NE", (1, 2)), ("EQ", (0, 2)), ("OR0", (1, 2))], "ok"),
+        ([("EQ", (0, 1)), ("OR0", (1, 2)), ("NE", (2, 2))], "error"),
+        ([("T", (0,)), ("F", (0,)), ("OR0", (1, 2))], "error"),
+    ],
+    ids=["ne-self-first", "odd-cycle-first", "inconsistent-after", "forcing-clash-first"],
+)
+def test_relation_missing_from_table_matches_reference(cons, outcome):
+    # the declared table leaves out OR0, so classify passes and the relation
+    # is met only while factoring: link inconsistencies before its first use
+    # give the inconsistent form, anything else raises
+    table = tuple(B[k] for k in ("EQ", "NE", "T", "F"))
+    f = Formula(3, tuple((B[name], args) for name, args in cons), table)
+    got = _factor_outcome(easy_factor, f)
+    assert got == _factor_outcome(reference.easy_factor, f)
+    assert got[0] == outcome
+    if outcome == "ok":
+        assert not got[1].consistent
+    else:
+        assert got[1] == "relation OR0 is not width-2 expressible"

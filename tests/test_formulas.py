@@ -17,6 +17,7 @@ from satpoly.formulas import (
     eval_assignment,
     eval_formula_poly,
     format_formula_file,
+    formula,
     parse_formula_file,
     poly_of_formula,
 )
@@ -28,7 +29,7 @@ from satpoly.graphs import build_partial_perm_graph
 from satpoly.polynomial import MultilinearPoly
 from satpoly.posets import Poset
 from satpoly.reductions import ideal_to_implicative2sat, is_to_negative2sat
-from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, xor_relation
+from satpoly.relations import BUILTIN_RELATIONS, parse_relation_file, relation, xor_relation
 
 import reference_paths as reference
 from strategies import formulas, points_for
@@ -423,6 +424,31 @@ def test_relation_set_is_computed_once_and_leaves_equality_alone():
     assert first == (B["NE"], B["EQ"])
     assert f.relation_set is first
     assert f == g and hash(f) == hash(g)
+
+
+def test_relation_set_keeps_first_seen_of_equal_relations():
+    ne_copy = relation("NE", 2, B["NE"].accepted)  # equal to B["NE"], another object
+    f = Formula(3, ((B["EQ"], (0, 1)), (ne_copy, (1, 2)), (B["NE"], (0, 2)), (B["EQ"], (1, 2))))
+    assert f.relation_set == (B["EQ"], B["NE"])
+    assert f.relation_set[1] is ne_copy
+
+
+@pytest.mark.parametrize(
+    "num_vars, constraints, message",
+    [
+        (0, (), "a formula needs at least one variable"),
+        (2, ((B["NE"], (0,)),), "NE has rank 2 but got 1 arguments"),
+        (2, ((B["NE"], (0, 2)),), "argument 2 out of range [0, 2)"),
+        (2, ((B["EQ"], (0, 1)), (B["T"], (-1,))), "argument -1 out of range [0, 2)"),
+    ],
+)
+def test_formula_constructor_still_checks_rank_and_range(num_vars, constraints, message):
+    # parse_formula_file checks these itself and skips the constructor's check
+    with pytest.raises(ValueError) as exc:
+        Formula(num_vars, constraints)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        formula(num_vars, constraints)
 
 
 # ---------------------------------------------------------------------------
