@@ -2,10 +2,10 @@
 
 The package classifies finite relation sets as easy or hard, evaluates the
 multilinear polynomial summing one monomial per satisfying assignment
-(fast factored path for easy sets, exact enumeration otherwise), builds
-the graph and poset polynomials those formulas encode, and carries a
-complete many-one counting reduction from the 0/1 permanent to unweighted
-vertex-cover counting.
+(fast factored path for easy sets, one exact weighted model count
+otherwise), builds the graph and poset polynomials those formulas encode,
+and carries a complete many-one counting reduction from the 0/1 permanent
+to unweighted vertex-cover counting.
 """
 
 from .easy_eval import FactoredPoly, easy_evaluate, easy_factor, evaluate_factored

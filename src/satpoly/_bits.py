@@ -3,7 +3,9 @@
 A table over t Boolean variables is a (2**t)-bit integer whose bit e holds
 the value at the assignment with binary code e, where variable i contributes
 bit i of e.  Conjunction and disjunction of constraints become bitwise
-AND/OR on tables, and model counting becomes a popcount.
+AND/OR on tables: elimination builds the joint table of a bucket's 0/1
+factors this way, and the gadget search checks each candidate by
+popcounts under selector masks.
 """
 
 from __future__ import annotations

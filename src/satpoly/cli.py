@@ -58,6 +58,14 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def _parse_point(text: str, n: int) -> list[Fraction]:
     """One Fraction per distinct token, shared by every coordinate that repeats it."""
     toks = text.replace(",", " ").split()
@@ -125,8 +133,7 @@ def _cmd_poly(args) -> int:
     f = _load_formula(args)
     poly = poly_of_formula(f)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_poly(poly))
+        _write(args.out, serialize_poly(poly))
     _emit({"polynomial": _poly_json(poly)})
     return 0
 
@@ -190,8 +197,7 @@ def _cmd_reduce(args) -> int:
         matrix = parse_matrix_file(_read(args.matrix))
         inst = emit_instance(matrix, bipartite=args.bipartite)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(format_instance_file(inst))
+            _write(args.out, format_instance_file(inst))
         payload = {
             "modulus": str(inst.modulus),
             "vertices": inst.graph.vertex_count(),
@@ -222,8 +228,7 @@ def _cmd_reduce(args) -> int:
         f = ideal_to_implicative2sat(p)
     text = format_formula_file(f)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     _emit({"formula": text, "num_vars": f.num_vars, "constraints": len(f.constraints)})
     return 0
 

@@ -1,9 +1,9 @@
 """Fast factored evaluation for formulas over easy relation sets.
 
-When every relation in scope is a conjunction of width-2 constraints, the
-variables split into parity-linked components that are either forced by a
-unary constraint or free with exactly two global states.  The polynomial
-then factors as
+When every relation a formula applies is a conjunction of width-2
+constraints, the variables split into parity-linked components that are
+either forced by a unary constraint or free with exactly two global
+states.  The polynomial then factors as
 
     forced_monomial * prod over free components (zero_branch + one_branch)
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,19 +54,6 @@ class FactoredPoly:
     consistent: bool
     forced: frozenset[int]
     components: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-
-def _local_decomposition(rel) -> Optional[tuple[list[tuple[int, int]], list[tuple[int, int, int]]]]:
-    """A relation's width-2 constraints as (index, bit) forcings and (i, j, parity) links.
-
-    None when the relation is not width-2 expressible.
-    """
-    decomp = _width2_expressible(rel)
-    if decomp is None:
-        return None
-    forcings = [(c[1], 1 if c[0] == "const1" else 0) for c in decomp if len(c) == 2]
-    links = [(c[1], c[2], 0 if c[0] == "eq" else 1) for c in decomp if len(c) == 3]
-    return forcings, links
 
 
 def _parity_roots(n: int, u: np.ndarray, v: np.ndarray, p: np.ndarray):
@@ -122,43 +109,34 @@ def easy_factor(f: Formula) -> FactoredPoly:
 
     n = f.num_vars
     idx = np.int32 if n < 1 << 30 else np.int64  # 2 * n + 1 fits
-    # gather: one code per constraint for its relation, keyed by identity (a
-    # parsed formula shares one Relation object per name), and every
+    # gather: one code per constraint for its relation object, and every
     # argument in one flat array; constraint k's arguments start at start[k]
-    cons_rels = list(map(itemgetter(0), f.constraints))
-    ids = list(map(id, cons_rels))
-    by_id = dict(zip(ids, cons_rels))  # the distinct relations, first-seen order
+    by_id = f._relations_by_id
     code_of = dict(zip(by_id, range(len(by_id))))
-    codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int32, count=len(ids))
+    cons_ids = map(id, map(itemgetter(0), f.constraints))
+    codes = np.fromiter(map(code_of.__getitem__, cons_ids), dtype=np.int32,
+                        count=len(f.constraints))
     ranks = np.array([rel.rank for rel in by_id.values()], dtype=idx)[codes]
     start = np.cumsum(ranks) - ranks
     all_args = chain.from_iterable(map(itemgetter(1), f.constraints))
     flat = np.fromiter(all_args, dtype=idx, count=int(ranks.sum()))
-    del ids, ranks
+    del ranks
 
-    decomps = [_local_decomposition(rel) for rel in by_id.values()]
-    missing = None  # a used relation missing from the declared table
-    if None in decomps:
-        # only the constraints before its first use count: an inconsistency
-        # among their links makes the formula inconsistent, as it would
-        # constraint by constraint
-        bad = [code for code, decomp in enumerate(decomps) if decomp is None]
-        cut = int(np.flatnonzero(np.isin(codes, bad))[0])
-        missing, codes, start = cons_rels[cut], codes[:cut], start[:cut]
-
+    # each relation's width-2 constraints (classify passed, so it has them)
+    # applied to all of its rows at once: forcings ("const0"/"const1", i)
+    # and parity links ("eq"/"ne", i, j)
     link_u, link_v, link_p, force_var, force_bit = [], [], [], [], []
-    for code, decomp in enumerate(decomps):
-        if decomp is None:
-            continue
+    for code, rel in enumerate(by_id.values()):
         rows = start[codes == code]
-        forcings, links = decomp
-        for i, bit in forcings:
-            force_var.append(flat[rows + i])
-            force_bit.append(np.full(len(rows), bit, dtype=np.int8))
-        for i, j, parity in links:
-            link_u.append(flat[rows + i])
-            link_v.append(flat[rows + j])
-            link_p.append(np.full(len(rows), parity, dtype=np.int8))
+        for c in _width2_expressible(rel):
+            bit = np.full(len(rows), c[0] in ("const1", "ne"), dtype=np.int8)
+            if len(c) == 2:
+                force_var.append(flat[rows + c[1]])
+                force_bit.append(bit)
+            else:
+                link_u.append(flat[rows + c[1]])
+                link_v.append(flat[rows + c[2]])
+                link_p.append(bit)
     del flat, start, codes
     u = np.concatenate(link_u or [np.zeros(0, dtype=idx)])
     v = np.concatenate(link_v or [np.zeros(0, dtype=idx)])
@@ -169,8 +147,6 @@ def easy_factor(f: Formula) -> FactoredPoly:
     inconsistent = FactoredPoly(n, False, frozenset(), ())
     if np.any(par[u] ^ par[v] != p):
         return inconsistent
-    if missing is not None:
-        raise SatPolyError(f"relation {missing.name} is not width-2 expressible")
     del u, v, p
 
     # the value forced on each root, -1 when its component is free

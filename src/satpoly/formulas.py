@@ -19,7 +19,7 @@ can compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -30,7 +30,7 @@ from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars
 from .polynomial import MultilinearPoly
 from .relations import Relation, resolve_relation
 
-MAX_ENUM_VARS = 30  # hard ceiling for exact enumeration
+MAX_ENUM_VARS = 30  # variable cap of count_sat, eval_formula_poly and poly_of_formula
 MAX_POLY_TERMS = 1 << 20  # poly_of_formula's output has one term per model
 
 Constraint = tuple[Relation, tuple[int, ...]]
@@ -41,15 +41,11 @@ class Formula:
     """A conjunction of relation applications; variables are 0-based indices.
 
     Repeated variables inside one application are legal and mean the
-    relation restricted to the corresponding diagonal.  relation_table
-    optionally records the full relation set in scope (it may list
-    relations no constraint uses); by default it is the set of relations
-    that appear.
+    relation restricted to the corresponding diagonal.
     """
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    relation_table: Optional[tuple[Relation, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -64,32 +60,34 @@ class Formula:
                     raise ValueError(f"argument {a} out of range [0, {self.num_vars})")
 
     @cached_property
-    def relation_set(self) -> tuple[Relation, ...]:
-        if self.relation_table is not None:
-            return self.relation_table
-        # by identity first, then by equality: a parsed formula shares one
-        # Relation object per name, and hashing the dataclass per constraint
-        # would cost more than the id() lookups
+    def _relations_by_id(self) -> dict[int, Relation]:
+        """The distinct relation objects the constraints apply, keyed by id(), first-seen order.
+
+        A parsed formula shares one Relation object per name, and hashing the
+        dataclass per constraint would cost more than the id() lookups.
+        """
         rels = list(map(itemgetter(0), self.constraints))
-        by_id = dict(zip(map(id, rels), rels))
-        return tuple(dict.fromkeys(by_id.values()))
+        return dict(zip(map(id, rels), rels))
+
+    @cached_property
+    def relation_set(self) -> tuple[Relation, ...]:
+        """The distinct relations the constraints apply, first-seen order.
+
+        Of equal relations the first-seen object is kept.
+        """
+        return tuple(dict.fromkeys(self._relations_by_id.values()))
 
 
-def _checked_formula(num_vars: int, constraints: tuple[Constraint, ...],
-                     relation_table: Optional[tuple[Relation, ...]]) -> Formula:
+def _checked_formula(num_vars: int, constraints: tuple[Constraint, ...]) -> Formula:
     """A Formula built without __post_init__'s checks, for a caller that made them."""
     f = object.__new__(Formula)
-    for fld, value in zip(fields(Formula), (num_vars, constraints, relation_table)):
+    for fld, value in zip(fields(Formula), (num_vars, constraints)):
         object.__setattr__(f, fld.name, value)
     return f
 
 
-def formula(num_vars: int, constraints, relation_table=None) -> Formula:
-    return Formula(
-        num_vars,
-        tuple((rel, tuple(args)) for rel, args in constraints),
-        tuple(relation_table) if relation_table is not None else None,
-    )
+def formula(num_vars: int, constraints) -> Formula:
+    return Formula(num_vars, tuple((rel, tuple(args)) for rel, args in constraints))
 
 
 def eval_assignment(f: Formula, assignment: Sequence[int]) -> bool:
@@ -238,14 +236,8 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
         raise ParseError(
             f"header declares {declared} constraints, found {len(constraints)}"
         )
-    table = None
-    if relations is not None:
-        merged = dict(relations)
-        for rel in dict.fromkeys(resolved.values()):
-            merged.setdefault(rel.name, rel)
-        table = tuple(merged.values())
     # every rank and range is checked above, with the line number
-    return _checked_formula(num_vars, tuple(constraints), table)
+    return _checked_formula(num_vars, tuple(constraints))
 
 
 def format_formula_file(f: Formula) -> str:

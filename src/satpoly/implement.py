@@ -93,6 +93,12 @@ def check_perfect_faithful(impl: Implementation) -> bool:
     return certificate_ok(certificate(impl))
 
 
+MAX_SEARCH_VARS = 10  # function plus auxiliary variables of the largest search level
+# atoms one search level may build; CLAUSE3 and F over six variables make 222,
+# a rank-12 relation over three make 531,441
+MAX_ATOMS = 1 << 12
+
+
 @dataclass(frozen=True)
 class NotFound:
     """Search outcome: the bounded space holds no valid implementation."""
@@ -107,7 +113,6 @@ def search_implementation(
     using: list[Relation],
     max_aux: int = 3,
     max_constraints: int = 4,
-    max_vars: int = 10,
 ) -> Implementation | NotFound:
     """Search in canonical order; the first valid candidate wins.
 
@@ -125,13 +130,23 @@ def search_implementation(
     representatives, and only those sets are searched.  Adding a constraint
     only clears table bits, so a prefix that leaves some accepted input
     without an extension is dropped with every candidate it starts.
+
+    The search stops after MAX_SEARCH_VARS combined variables, and raises
+    BoundExceeded before a level whose argument tuples, t**rank summed over
+    the relations, number more than MAX_ATOMS.
     """
     k = target.rank
     accepted_codes = {_pack(t) for t in target.accepted}
     for q in range(0, max_aux + 1):
         t = k + q
-        if t > max_vars:
+        if t > MAX_SEARCH_VARS:
             break
+        num_atoms = sum(t**rel.rank for rel in using)
+        if num_atoms > MAX_ATOMS:
+            raise BoundExceeded(
+                f"search_implementation is limited to {MAX_ATOMS} atoms, "
+                f"{t} variables give {num_atoms}"
+            )
         full = table_full(t)
         bases = [table_var(i, t) for i in range(t)]
         first_atom: dict[int, Constraint] = {}  # table -> first atom with it

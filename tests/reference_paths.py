@@ -157,7 +157,6 @@ def parse_formula_file(text, relations=None) -> Formula:
     num_vars = None
     declared = 0
     constraints = []
-    used = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,18 +189,11 @@ def parse_formula_file(text, relations=None) -> Formula:
         if any(not 0 <= a < num_vars for a in args):
             raise ParseError(f"line {lineno}: variable index out of range")
         constraints.append((rel, args))
-        used.setdefault(rel)
     if num_vars is None:
         raise ParseError("missing 'p csp' header")
     if len(constraints) != declared:
         raise ParseError(f"header declares {declared} constraints, found {len(constraints)}")
-    table = None
-    if relations is not None:
-        merged = dict(relations)
-        for rel in used:
-            merged.setdefault(rel.name, rel)
-        table = tuple(merged.values())
-    return Formula(num_vars, tuple(constraints), table)
+    return Formula(num_vars, tuple(constraints))
 
 
 def transitive_closure(pairs) -> frozenset:

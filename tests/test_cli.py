@@ -128,6 +128,22 @@ def test_eval_rational_output(tmp_path, capsys):
     assert json.loads(out)["value"] == "1"
 
 
+# an EQ-like relation and an OR0-like one that the formula below never applies
+MIXED_RELS = "relation same 2\n00\n11\nend\nrelation either 2\n01\n10\n11\nend\n"
+
+
+def test_eval_classifies_the_relations_the_formula_applies(tmp_path, capsys):
+    rels = write(tmp_path, "mix.rel", MIXED_RELS)
+    path = write(tmp_path, "mix.csp", "p csp 3 2\nsame 1 2\nsame 2 3\n")
+    argv = ["eval", "--formula", path, "--relations", rels, "--point", "2,3,5"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"format": 1, "path": "easy", "value": "31"}  # 1 + 2*3*5
+    code, out = run_cli(capsys, *argv, "--easy")
+    assert code == 0
+    assert json.loads(out)["factored"]["components"] == [{"one": [1, 2, 3], "zero": []}]
+
+
 def test_poly_serialization(tmp_path, capsys):
     path = write(tmp_path, "f.csp", "p csp 2 1\nOR0 1 2\n")
     out_path = tmp_path / "poly.txt"
@@ -431,6 +447,35 @@ def test_implement_not_found(tmp_path, capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_implement_past_the_atom_bound_exits_3(tmp_path, capsys):
+    # one rank-12 block: two variables give 4096 argument tuples and no
+    # gadget, three would give 3**12
+    rels = write(tmp_path, "big.rel", "relation big 12\n" + "0" * 12 + "\n" + "1" * 12 + "\nend\n")
+    start = time.perf_counter()
+    code, out, err = run_cli_err(capsys, "implement", "--target", "OR0", "--using", rels)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (
+        "bound exceeded: search_implementation is limited to 4096 atoms, 3 variables give 531441\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (("poly", "--formula"), "f.csp", FORMULA),
+        (("reduce", "perm-to-vc", "--matrix"), "m.txt", "1 1\n1 1\n"),
+        (("reduce", "vc-to-2sat", "--graph"), "g.txt", "p graph 2 1\nv 1 1\nv 2 1\ne 1 2\n"),
+    ],
+    ids=["poly", "perm-to-vc", "vc-to-2sat"],
+)
+def test_unwritable_out_is_a_parse_error(tmp_path, capsys, argv, name, text):
+    out_path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli_err(capsys, *argv, write(tmp_path, name, text), "--out", out_path)
+    assert_one_line_exit_2(code, out, err)
+    assert err.startswith(f"parse error: cannot write {out_path}: ")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "not a relation file")
     code, _ = run_cli(capsys, "classify", "--relations", path)
@@ -595,15 +640,27 @@ def test_missing_input_option_exits_2(capsys, argv):
     assert "needs --" in err
 
 
+# each command's argv up to the option that takes the fuzzed file; a point
+# is fuzzed as the --point text of eval on a valid formula file
 FUZZ_COMMANDS = {
-    "formula": [("count", "sat"), ("poly",)],
-    "graph": [("count", "vc"), ("count", "is"), ("reduce", "vc-to-2sat"), ("reduce", "is-to-2sat")],
-    "poset": [("count", "ideals"), ("count", "antichains"), ("reduce", "ideal-to-2sat")],
+    "formula": [("count", "sat", "--formula"), ("poly", "--formula")],
+    "graph": [("count", "vc", "--graph"), ("count", "is", "--graph"),
+              ("reduce", "vc-to-2sat", "--graph"), ("reduce", "is-to-2sat", "--graph")],
+    "poset": [("count", "ideals", "--poset"), ("count", "antichains", "--poset"),
+              ("reduce", "ideal-to-2sat", "--poset")],
+    "relations": [("classify", "--relations"),
+                  ("implement", "--target", "OR0", "--max-aux", "1", "--max-constraints", "2",
+                   "--using")],
+    "matrix": [("reduce", "perm-to-vc", "--matrix"), ("reduce", "perm-to-vc", "--count", "--matrix"),
+               ("reduce", "perm-to-vc", "--bipartite", "--count", "--matrix")],
+    "point": [("eval",), ("eval", "--easy")],
 }
-# short pieces only: weights go through Fraction(), which expands an exponent
-# such as 1e99999999 in full, so no piece may grow a long exponent
+# weights and points go through errors.parse_rational, which refuses exponent
+# notation, so a piece such as "e" reaches only its error; a piece that
+# lengthens a relation's rank past MAX_RANK, or past what implement's atom
+# bound lets it search, ends in exit 2 or 3
 FUZZ_PIECES = ["0", "1", "-1", "2/3", "1/0", "X", "X0", "X2", "p", "v", "e", "r", "#", " ", "\n", "-",
-               "csp", "NE", "xor3_1"]
+               "csp", "NE", "xor3_1", ",", ".", "relation", "end"]
 FUZZ_RELATIONS = [resolve_relation(name) for name in
                   ("OR0", "OR1", "OR2", "CLAUSE3", "EQ", "NE", "xor3_1", "T", "F")]
 
@@ -614,14 +671,34 @@ def atoms(n):
         st.just(rel.name), st.lists(st.integers(1, n), min_size=rel.rank, max_size=rel.rank)))
 
 
+def formula_text(draw, n):
+    cons = draw(st.lists(atoms(n), max_size=16)) if n else []
+    lines = [f"p csp {n} {len(cons)}"] + [" ".join([name, *map(str, args)]) for name, args in cons]
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def valid_input_texts(draw):
+    """A fuzzed kind, its valid text, and for a point the formula file it is read against."""
     kind = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    if kind == "relations":
+        blocks = []
+        for name in draw(st.lists(st.sampled_from(["a", "b", "OR0", "EQ"]), max_size=3, unique=True)):
+            rank = draw(st.integers(1, 3))
+            tuples = draw(st.lists(st.tuples(*[st.sampled_from("01")] * rank), max_size=4, unique=True))
+            blocks.append("\n".join([f"relation {name} {rank}", *map("".join, tuples), "end"]))
+        return kind, "\n".join(blocks) + "\n", None
+    if kind == "matrix":
+        n = draw(st.integers(1, 3))
+        rows = [" ".join(draw(st.sampled_from("01")) for _ in range(n)) for _ in range(n)]
+        return kind, "\n".join(rows) + "\n", None
     n = draw(st.integers(0, 12))
+    if kind == "point":
+        n = max(n, 1)
+        coords = [draw(st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2"])) for _ in range(n)]
+        return kind, ",".join(coords), formula_text(draw, n)
     if kind == "formula":
-        cons = draw(st.lists(atoms(n), max_size=16)) if n else []
-        lines = [f"p csp {n} {len(cons)}"] + [" ".join([name, *map(str, args)]) for name, args in cons]
-        return kind, "\n".join(lines) + "\n"
+        return kind, formula_text(draw, n), None
     weights = [draw(st.sampled_from(["1", "-1", "1/2", f"X{i + 1}"])) for i in range(n)]
     if kind == "graph":
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
@@ -633,12 +710,12 @@ def valid_input_texts(draw):
     lines = [head.format(m=len(links))]
     lines += [f"v {i + 1} {w}" for i, w in enumerate(weights)]
     lines += [f"{tag} {u} {v}" for u, v in links]
-    return kind, "\n".join(lines) + "\n"
+    return kind, "\n".join(lines) + "\n", None
 
 
 @st.composite
 def mutated_input_texts(draw):
-    kind, text = draw(valid_input_texts())
+    kind, text, formula = draw(valid_input_texts())
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["truncate", "replace", "insert", "drop-line", "repeat-line"]))
         if op in ("drop-line", "repeat-line"):
@@ -654,19 +731,22 @@ def mutated_input_texts(draw):
         else:
             piece = draw(st.sampled_from(FUZZ_PIECES))
             text = text[:i] + piece + text[i + (op == "replace"):]
-    return kind, text
+    return kind, text, formula
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_input_texts(), st.data())
 def test_mutated_input_files_keep_the_exit_contract(tmp_path, capsys, case, data):
-    kind, text = case
+    kind, text, formula = case
     command = data.draw(st.sampled_from(FUZZ_COMMANDS[kind]))
-    path = write(tmp_path, "fuzz.txt", text)
+    if kind == "point":
+        argv = [*command, "--formula", write(tmp_path, "fuzz.csp", formula), f"--point={text}"]
+    else:
+        argv = [*command, write(tmp_path, "fuzz.txt", text)]
     # a mutated header can free up to 30 variables: a lower term bound keeps
     # each poly small and reaches its exit 3
     with mock.patch.object(formulas_mod, "MAX_POLY_TERMS", 1 << 12):
-        code, out, err = run_cli_err(capsys, *command, f"--{kind}", path)
+        code, out, err = run_cli_err(capsys, *argv)
     assert code in (0, 2, 3, 4)
     assert out == "" or (out.count("\n") == 1 and isinstance(json.loads(out), dict))
     assert err.count("\n") <= 1

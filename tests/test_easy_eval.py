@@ -276,25 +276,19 @@ def _factor_outcome(factor, f):
 
 
 @pytest.mark.parametrize(
-    "cons, outcome",
+    "cons",
     [
-        ([("NE", (0, 0)), ("OR0", (1, 2))], "ok"),
-        ([("EQ", (0, 1)), ("NE", (1, 2)), ("EQ", (0, 2)), ("OR0", (1, 2))], "ok"),
-        ([("EQ", (0, 1)), ("OR0", (1, 2)), ("NE", (2, 2))], "error"),
-        ([("T", (0,)), ("F", (0,)), ("OR0", (1, 2))], "error"),
+        [("NE", (0, 0)), ("OR0", (1, 2))],
+        [("EQ", (0, 1)), ("NE", (1, 2)), ("EQ", (0, 2)), ("OR0", (1, 2))],
+        [("EQ", (0, 1)), ("OR0", (1, 2)), ("NE", (2, 2))],
+        [("T", (0,)), ("F", (0,)), ("OR0", (1, 2))],
     ],
     ids=["ne-self-first", "odd-cycle-first", "inconsistent-after", "forcing-clash-first"],
 )
-def test_relation_missing_from_table_matches_reference(cons, outcome):
-    # the declared table leaves out OR0, so classify passes and the relation
-    # is met only while factoring: link inconsistencies before its first use
-    # give the inconsistent form, anything else raises
-    table = tuple(B[k] for k in ("EQ", "NE", "T", "F"))
-    f = Formula(3, tuple((B[name], args) for name, args in cons), table)
+def test_applied_hard_relation_is_refused_in_any_order(cons):
+    # the relation set is the relations applied, so an OR0 anywhere makes it
+    # hard, whether or not the links before it are already inconsistent
+    f = Formula(3, tuple((B[name], args) for name, args in cons))
     got = _factor_outcome(easy_factor, f)
     assert got == _factor_outcome(reference.easy_factor, f)
-    assert got[0] == outcome
-    if outcome == "ok":
-        assert not got[1].consistent
-    else:
-        assert got[1] == "relation OR0 is not width-2 expressible"
+    assert got == ("error", "relation set is not easy (witness: ('nonAffine', 'OR0'))")

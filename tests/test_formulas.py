@@ -462,7 +462,7 @@ def parse_outcome(parse, text, relations):
         f = parse(text, relations)
     except ParseError as exc:
         return "error", str(exc)
-    return "ok", f, f.relation_table, f.relation_set
+    return "ok", f, f.relation_set
 
 
 def assert_parse_matches_reference(text, relations):
