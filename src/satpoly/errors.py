@@ -29,6 +29,23 @@ def check_int_chars(tokens, lineno: int) -> None:
             )
 
 
+def parse_ints(tokens, lineno: int) -> list[int]:
+    """Decimal integers of one input line; a bad or overlong token is a ParseError."""
+    check_int_chars(tokens, lineno)
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {' '.join(tokens)!r}") from None
+
+
+def input_lines(text: str):
+    """(line number, tokens) of each non-blank line, its '#' comment removed."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_rational(tok: str) -> Fraction:
     """Fraction(tok), with exponent notation refused as a ParseError.
 

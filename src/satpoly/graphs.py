@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, check_int_chars, parse_rational
+from .errors import MAX_INT_CHARS, BoundExceeded, ParseError, input_lines, parse_ints, parse_rational
 from .polynomial import MultilinearPoly
 
 
@@ -355,10 +355,12 @@ def bipartize(g: WeightedGraph) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Graph file format:
-#   p graph <n> <m>
+# Graph and poset files share one grammar (graph | poset):
+#   p graph <n> <m>  |  p poset <n>
 #   v <id> <weight>      weight: rational or X<k> (1-based symbol index)
-#   e <u> <v>            e u u is a self-loop
+#   e <u> <v>        |  r <i> <j>     e u u is a self-loop; r i j means i < j
+# A graph file may end with a reduction instance's trailer: one
+# 'modulus <N>' line, then one 'provenance <json>' line.
 
 
 def parse_weight(tok: str) -> Weight:
@@ -384,51 +386,75 @@ def format_weight(w: Weight) -> str:
     return str(w)
 
 
-def parse_ints(tokens, lineno: int) -> list[int]:
-    """Decimal integers of one input line; a bad or overlong token is a ParseError."""
-    check_int_chars(tokens, lineno)
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected integers, got {' '.join(tokens)!r}") from None
+def read_weighted_file(text: str, header: str, pair: str, nouns, build, trailer=()):
+    """build(weights, pairs) of a graph or poset file, and its trailer lines.
 
-
-def parse_graph_file(text: str) -> WeightedGraph:
-    n = m = None
-    vertices: dict[int, Weight] = {}
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "graph":
-                raise ParseError(f"line {lineno}: expected 'p graph <n> <m>'")
-            n, m = parse_ints(parts[2:], lineno)
-        elif parts[0] == "v":
+    header and pair are the usages of the 'p' line and of a pair line, such
+    as 'p graph <n> <m>' and 'e <u> <v>'.  The header's numbers count the v
+    lines and then the pair lines; nouns is the singular for a v line then
+    the plurals of what the header counts.  trailer names the directives
+    that may end the file, once each and in that order; the result maps
+    each one read to (line number, its tokens after the directive).
+    """
+    usage, tag = header.split(), pair.split()[0]
+    item, *counted = nouns
+    declared = None
+    weights: dict[int, Weight] = {}
+    pairs: list[Edge] = []
+    found: dict[str, tuple[int, list[str]]] = {}
+    allowed = trailer
+    for lineno, parts in input_lines(text):
+        word = parts[0]
+        if found or word in trailer:
+            if word in found:
+                raise ParseError(f"line {lineno}: duplicate {word!r} line")
+            if word not in allowed:
+                raise ParseError(f"line {lineno}: {word!r} line after the trailer")
+            allowed = allowed[allowed.index(word) + 1:]
+            found[word] = (lineno, parts[1:])
+        elif word == "p":
+            if len(parts) != len(usage) or parts[1] != usage[1]:
+                raise ParseError(f"line {lineno}: expected {header!r}")
+            declared = parse_ints(parts[2:], lineno)
+        elif word == "v":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'v <id> <weight>'")
             (vid,) = parse_ints(parts[1:2], lineno)
-            if vid in vertices:
-                raise ParseError(f"line {lineno}: duplicate vertex {vid}")
-            vertices[vid] = parse_weight(parts[2])
-        elif parts[0] == "e":
+            if vid in weights:
+                raise ParseError(f"line {lineno}: duplicate {item} {vid}")
+            weights[vid] = parse_weight(parts[2])
+        elif word == tag:
             if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append(tuple(parse_ints(parts[1:], lineno)))
-        elif parts[0] in ("modulus", "provenance"):
-            break  # trailer lines belong to reduction instances
+                raise ParseError(f"line {lineno}: expected {pair!r}")
+            pairs.append(tuple(parse_ints(parts[1:], lineno)))
         else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError("missing 'p graph' header")
-    if len(vertices) != n:
-        raise ParseError(f"header declares {n} vertices, found {len(vertices)}")
+            raise ParseError(f"line {lineno}: unknown directive {word!r}")
+    if declared is None:
+        raise ParseError(f"missing {' '.join(usage[:2])!r} header")
+    if declared[0] != len(weights):
+        raise ParseError(f"header declares {declared[0]} {counted[0]}, found {len(weights)}")
     try:
-        return WeightedGraph(vertices, edges)
+        built = build(weights, pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    # the pair count is checked last, so a pair naming a missing vertex is
+    # reported as such
+    for m, noun in zip(declared[1:], counted[1:]):
+        if m != len(pairs):
+            raise ParseError(f"header declares {m} {noun}, found {len(pairs)}")
+    return built, found
+
+
+def read_graph_file(text: str) -> tuple[WeightedGraph, dict[str, tuple[int, list[str]]]]:
+    """The graph of a graph file and its trailer lines (see read_weighted_file)."""
+    return read_weighted_file(
+        text, "p graph <n> <m>", "e <u> <v>", ("vertex", "vertices", "edges"), WeightedGraph,
+        ("modulus", "provenance"),
+    )
+
+
+def parse_graph_file(text: str) -> WeightedGraph:
+    return read_graph_file(text)[0]
 
 
 def format_graph_file(g: WeightedGraph) -> str:

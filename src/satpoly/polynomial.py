@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._bits import iter_bits
+from .errors import ParseError, input_lines, parse_ints, parse_rational
 
 Evaluator = Callable[[Sequence[Fraction]], Fraction]
 
@@ -253,27 +254,17 @@ def serialize_poly(p: MultilinearPoly) -> str:
 
 def parse_poly(text: str, num_vars: int | None = None) -> MultilinearPoly:
     """Parse the term-per-line format; num_vars defaults to the highest index seen."""
-    from .errors import ParseError
-
     terms: dict[int, Fraction] = {}
     top = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
+    for lineno, tokens in input_lines(text):
+        if len(tokens) < 2 or tokens[1] != ":":
             raise ParseError(f"line {lineno}: expected '<coeff> : <indices>'")
-        coeff_s, _, idx_s = line.partition(":")
         try:
-            coeff = Fraction(coeff_s.strip())
+            coeff = parse_rational(tokens[0])
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"line {lineno}: bad coefficient {coeff_s.strip()!r}") from None
+            raise ParseError(f"line {lineno}: bad coefficient {tokens[0]!r}") from None
         mask = 0
-        for tok in idx_s.split():
-            try:
-                i = int(tok)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad index {tok!r}") from None
+        for i in parse_ints(tokens[2:], lineno):
             if i < 1:
                 raise ParseError(f"line {lineno}: indices are 1-based")
             mask |= 1 << (i - 1)

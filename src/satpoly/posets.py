@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._bits import iter_bits
-from .errors import BoundExceeded, ParseError
+from .errors import BoundExceeded
 from .graphs import (
     Var,
     Weight,
@@ -26,8 +26,7 @@ from .graphs import (
     _num_symbols,
     _weight_parts,
     format_weight,
-    parse_ints,
-    parse_weight,
+    read_weighted_file,
     two_coloring,
 )
 from .polynomial import MultilinearPoly
@@ -248,46 +247,14 @@ def weighted_bijection(p: Poset, antichain: Iterable[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Poset file format:
+# Poset file format (graphs.read_weighted_file reads it):
 #   p poset <n>
 #   v <id> <weight>
 #   r <i> <j>        meaning i < j; closure is computed on load
 
 
 def parse_poset_file(text: str) -> Poset:
-    n = None
-    elements: dict[int, Weight] = {}
-    relations: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 3 or parts[1] != "poset":
-                raise ParseError(f"line {lineno}: expected 'p poset <n>'")
-            (n,) = parse_ints(parts[2:], lineno)
-        elif parts[0] == "v":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'v <id> <weight>'")
-            (vid,) = parse_ints(parts[1:2], lineno)
-            if vid in elements:
-                raise ParseError(f"line {lineno}: duplicate element {vid}")
-            elements[vid] = parse_weight(parts[2])
-        elif parts[0] == "r":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'r <i> <j>'")
-            relations.append(tuple(parse_ints(parts[1:], lineno)))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError("missing 'p poset' header")
-    if len(elements) != n:
-        raise ParseError(f"header declares {n} elements, found {len(elements)}")
-    try:
-        return Poset(elements, relations)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return read_weighted_file(text, "p poset <n>", "r <i> <j>", ("element", "elements"), Poset)[0]
 
 
 def format_poset_file(p: Poset) -> str:

@@ -41,13 +41,14 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .elimination import count
-from .errors import MAX_INT_CHARS, ParseError, SatPolyError, check_int_chars
+from .errors import ParseError, SatPolyError, check_int_chars, input_lines
 from .formulas import Formula
 from .graphs import (
     WeightedGraph,
     bipartize,
     build_partial_perm_graph,
-    parse_ints,
+    format_weight,
+    read_graph_file,
     two_coloring,
 )
 from .posets import Poset
@@ -467,71 +468,43 @@ def format_instance_file(inst: ReductionInstance) -> str:
 
 
 def parse_instance_file(text: str) -> ReductionInstance:
-    n = None
-    vertices: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    loops: set[int] = set()
-    modulus = None
+    """A graph file with every weight 1, ending in the modulus and provenance trailer."""
+    g, trailer = read_graph_file(text)
+    for v, w in g.vertices.items():
+        if w != 1:
+            raise ParseError(f"instance vertex {v} has weight {format_weight(w)}, not 1")
+    if "modulus" not in trailer:
+        raise ParseError("instance needs a 'modulus' line")
+    lineno, parts = trailer["modulus"]
+    if len(parts) != 1:
+        raise ParseError(f"line {lineno}: expected 'modulus <N>'")
+    try:  # a modulus 2**v + 1 can run past MAX_INT_CHARS digits
+        modulus = int(parts[0])
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {parts[0]!r}") from None
     provenance: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if parts[0] == "provenance":
-            try:
-                provenance = json.loads(parts[1])
-            except (IndexError, json.JSONDecodeError):
-                raise ParseError(f"line {lineno}: bad provenance JSON") from None
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "graph":
-                raise ParseError(f"line {lineno}: expected 'p graph <n> <m>'")
-            n = parse_ints(parts[2:], lineno)[0]
-        elif parts[0] == "v":
-            if len(parts) < 2:
-                raise ParseError(f"line {lineno}: expected 'v <id>'")
-            vertices.add(parse_ints(parts[1:2], lineno)[0])
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = parse_ints(parts[1:], lineno)
-            if u == v:
-                loops.add(u)
-            else:
-                edges.append((u, v))
-        elif parts[0] == "modulus":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'modulus <N>'")
-            try:  # a modulus 2**v + 1 can run past MAX_INT_CHARS digits
-                modulus = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected integers, got {parts[1]!r}") from None
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if n is None or modulus is None:
-        raise ParseError("instance needs a 'p graph' header and a 'modulus' line")
-    if len(vertices) != n:
-        raise ParseError(f"header declares {n} vertices, found {len(vertices)}")
+    if "provenance" in trailer:
+        lineno, parts = trailer["provenance"]
+        try:
+            provenance = json.loads(" ".join(parts))
+        except json.JSONDecodeError:
+            raise ParseError(f"line {lineno}: bad provenance JSON") from None
     try:
-        return ReductionInstance(UnweightedGraph(vertices, edges, loops), modulus, provenance)
+        return ReductionInstance(UnweightedGraph(g.vertices, g.edges, g.loops()), modulus, provenance)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def parse_matrix_file(text: str) -> list[list[int]]:
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if len(line) > MAX_INT_CHARS:
-            check_int_chars(line.split(), lineno)
+    for lineno, tokens in input_lines(text):
+        check_int_chars(tokens, lineno)
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append([int(tok) for tok in tokens])
         except ValueError:
-            raise ParseError(f"bad matrix row {line!r}") from None
+            # quote the row as written, its spacing included
+            row = text.splitlines()[lineno - 1].split("#", 1)[0].strip()
+            raise ParseError(f"bad matrix row {row!r}") from None
     if not rows:
         raise ParseError("empty matrix")
     try:

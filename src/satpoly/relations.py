@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional
 
-from .errors import MAX_INT_CHARS, ParseError, check_int_chars
+from .errors import MAX_INT_CHARS, ParseError, check_int_chars, input_lines
 
 MAX_RANK = 16
 
@@ -263,11 +263,7 @@ def parse_relation_file(text: str) -> dict[str, Relation]:
     name = None
     rank = 0
     accepted: list[BitTuple] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in input_lines(text):
         if parts[0] == "relation":
             if name is not None:
                 raise ParseError(f"line {lineno}: nested relation block")

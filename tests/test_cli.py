@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import math
 import random
@@ -22,6 +24,7 @@ from satpoly.reductions import (
     brute_count_vertex_covers,
     count_vertex_covers,
     emit_instance,
+    format_instance_file,
     is_to_negative2sat,
     vc_to_positive2sat,
 )
@@ -611,6 +614,22 @@ def test_bad_integer_in_input_file_exits_2(tmp_path, capsys, kind, option, text)
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p graph 2 1\nv 1 1\nv 2 1\ne 1 2\nmodulus 5\ne 1 1\n", "line 6: 'e' line after the trailer"),
+        ("p graph 2 5\nv 1 1\nv 2 1\ne 1 2\n", "header declares 5 edges, found 1"),
+    ],
+    ids=["line-after-trailer", "edge-count"],
+)
+def test_graph_file_with_a_late_line_or_a_wrong_edge_count_exits_2(tmp_path, capsys, text, message):
+    path = write(tmp_path, "g.txt", text)
+    for kind in ("vc", "is"):
+        code, out, err = run_cli_err(capsys, "count", kind, "--graph", path)
+        assert_one_line_exit_2(code, out, err)
+        assert err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text",
     ["1 1\n", "1 0\n1\n", "2 0\n0 1\n", "1 -1\n0 1\n"],
     ids=["one-row", "ragged", "entry-2", "entry-minus-1"],
@@ -654,7 +673,21 @@ FUZZ_COMMANDS = {
     "matrix": [("reduce", "perm-to-vc", "--matrix"), ("reduce", "perm-to-vc", "--count", "--matrix"),
                ("reduce", "perm-to-vc", "--bipartite", "--count", "--matrix")],
     "point": [("eval",), ("eval", "--easy")],
+    "instance": [("count", "vc", "--graph"), ("count", "is", "--graph")],
 }
+# reduction instances of 1x1 and 2x2 matrices; a bipartite 2x2 instance has
+# about 80,000 vertices and takes over a second to count, so only the
+# all-ones one is drawn, and as one entry of 21
+FUZZ_INSTANCES = (
+    [([[a]], bipartite) for a in (0, 1) for bipartite in (False, True)]
+    + [([[a, b], [c, d]], False) for a, b, c, d in itertools.product((0, 1), repeat=4)]
+    + [([[1, 1], [1, 1]], True)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def instance_text(index):
+    return format_instance_file(emit_instance(*FUZZ_INSTANCES[index]))
 # weights and points go through errors.parse_rational, which refuses exponent
 # notation, so a piece such as "e" reaches only its error; a piece that
 # lengthens a relation's rank past MAX_RANK, or past what implement's atom
@@ -688,6 +721,8 @@ def valid_input_texts(draw):
             tuples = draw(st.lists(st.tuples(*[st.sampled_from("01")] * rank), max_size=4, unique=True))
             blocks.append("\n".join([f"relation {name} {rank}", *map("".join, tuples), "end"]))
         return kind, "\n".join(blocks) + "\n", None
+    if kind == "instance":
+        return kind, instance_text(draw(st.integers(0, len(FUZZ_INSTANCES) - 1))), None
     if kind == "matrix":
         n = draw(st.integers(1, 3))
         rows = [" ".join(draw(st.sampled_from("01")) for _ in range(n)) for _ in range(n)]

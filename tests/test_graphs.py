@@ -22,6 +22,7 @@ from satpoly.graphs import (
     weighted_graph,
 )
 from satpoly.polynomial import MultilinearPoly
+from satpoly.posets import parse_poset_file
 from satpoly.reductions import is_to_negative2sat, vc_to_positive2sat
 
 from strategies import nonzero_rationals
@@ -240,6 +241,95 @@ def test_graph_file_errors():
         parse_graph_file("p graph 2 1\nv 1 1\ne 1 2\n")  # missing vertex
     with pytest.raises(ParseError):
         parse_graph_file("v 1 1\n")  # no header
+
+
+TWO = "p graph 2 1\nv 1 1\nv 2 1\n"  # a graph header and two vertices, lines 1-3
+LONG = "9" * 4301
+# (reader, file text, ParseError text): every error the graph and poset
+# readers raise; line numbers count blank and comment lines
+MALFORMED_FILES = [
+    ("graph", "p graph 1\n", "line 1: expected 'p graph <n> <m>'"),
+    ("graph", "p poset 1 0\n", "line 1: expected 'p graph <n> <m>'"),
+    ("graph", "p graph x 1\n", "line 1: expected integers, got 'x 1'"),
+    ("graph", f"p graph {LONG} 0\n", "line 1: integer token of 4301 characters (at most 4300)"),
+    ("graph", "p graph 1 0\nv 1\n", "line 2: expected 'v <id> <weight>'"),
+    ("graph", "p graph 1 0\nv 1 1 1\n", "line 2: expected 'v <id> <weight>'"),
+    ("graph", "p graph 1 0\nv one 1\n", "line 2: expected integers, got 'one'"),
+    ("graph", "p graph 1 0\nv 1 1\nv 1 2\n", "line 3: duplicate vertex 1"),
+    ("graph", "p graph 1 0\nv 1 X0\n", "symbol indices are 1-based"),
+    ("graph", "p graph 1 0\nv 1 Xa\n", "bad symbolic weight 'Xa'"),
+    ("graph", f"p graph 1 0\nv 1 X{LONG}\n", "symbol index of 4301 characters (at most 4300)"),
+    ("graph", "p graph 1 0\nv 1 1/0\n", "bad weight '1/0'"),
+    ("graph", "p graph 1 0\nv 1 abc\n", "bad weight 'abc'"),
+    ("graph", "p graph 1 0\nv 1 1e5\n", "exponent notation is not accepted: '1e5'"),
+    ("graph", TWO + "e 1\n", "line 4: expected 'e <u> <v>'"),
+    ("graph", TWO + "e 1 b\n", "line 4: expected integers, got '1 b'"),
+    ("graph", TWO + f"e 1 {LONG}\n", "line 4: integer token of 4301 characters (at most 4300)"),
+    ("graph", TWO + "r 1 2\n", "line 4: unknown directive 'r'"),
+    ("graph", "# c\n\np graph 1 0  # header\nv 1 1\nq\n", "line 5: unknown directive 'q'"),
+    ("graph", "v 1 1\n", "missing 'p graph' header"),
+    ("graph", "", "missing 'p graph' header"),
+    ("graph", "p graph 2 0\nv 1 1\n", "header declares 2 vertices, found 1"),
+    ("graph", "p graph 2 1\nv 1 1\ne 1 2\n", "header declares 2 vertices, found 1"),
+    ("graph", "p graph 1 1\nv 1 1\ne 1 2\n", "edge (1, 2) references a missing vertex"),
+    ("poset", "p poset\n", "line 1: expected 'p poset <n>'"),
+    ("poset", "p graph 1 0\n", "line 1: expected 'p poset <n>'"),
+    ("poset", "p poset two\n", "line 1: expected integers, got 'two'"),
+    ("poset", "p poset 1\nv 1\n", "line 2: expected 'v <id> <weight>'"),
+    ("poset", "p poset 1\nv x 1\n", "line 2: expected integers, got 'x'"),
+    ("poset", "p poset 1\nv 1 1\nv 1 1\n", "line 3: duplicate element 1"),
+    ("poset", "p poset 1\nv 1 1/0\n", "bad weight '1/0'"),
+    ("poset", "p poset 2\nv 1 1\nv 2 1\nr 1\n", "line 4: expected 'r <i> <j>'"),
+    ("poset", "p poset 2\nv 1 1\nv 2 1\nr 1 x\n", "line 4: expected integers, got '1 x'"),
+    ("poset", "p poset 1\nv 1 1\ne 1 1\n", "line 3: unknown directive 'e'"),
+    ("poset", "p poset 1\nv 1 1\nmodulus 5\n", "line 3: unknown directive 'modulus'"),
+    ("poset", "v 1 1\n", "missing 'p poset' header"),
+    ("poset", "p poset 2\nv 1 1\n", "header declares 2 elements, found 1"),
+    ("poset", "p poset 1\nv 1 1\nr 1 2\n", "relation (1, 2) references a missing element"),
+    ("poset", "p poset 1\nv 1 1\nr 1 1\n", "order must be irreflexive, got (1, 1)"),
+    ("poset", "p poset 2\nv 1 1\nv 2 1\nr 1 2\nr 2 1\n", "cycle through 1 breaks antisymmetry"),
+]
+# the header's edge count, and the instance trailer as the file's last lines
+EDGE_COUNT_AND_TRAILER_FILES = [
+    ("graph", "p graph 2 5\nv 1 1\nv 2 1\ne 1 2\n", "header declares 5 edges, found 1"),
+    ("graph", "p graph 1 0\nv 1 1\ne 1 1\n", "header declares 0 edges, found 1"),
+    ("graph", TWO + "e 1 2\nmodulus 5\ne 1 1\n", "line 6: 'e' line after the trailer"),
+    ("graph", TWO + "e 1 2\nmodulus 5\nprovenance {}\n# end\nv 3 1\n",
+     "line 8: 'v' line after the trailer"),
+    ("graph", TWO + "e 1 2\nmodulus 5\nmodulus 5\n", "line 6: duplicate 'modulus' line"),
+    ("graph", TWO + "e 1 2\nprovenance {}\nmodulus 5\n", "line 6: 'modulus' line after the trailer"),
+    ("graph", TWO + "e 1 2\nprovenance {}\nprovenance {}\n", "line 6: duplicate 'provenance' line"),
+]
+READERS = {"graph": parse_graph_file, "poset": parse_poset_file}
+
+
+def _assert_parse_error(reader, text, message):
+    with pytest.raises(ParseError) as exc:
+        READERS[reader](text)
+    assert str(exc.value) == message
+
+
+def _ids(table):
+    return [f"{reader}: {message}" for reader, _, message in table]
+
+
+@pytest.mark.parametrize("reader, text, message", MALFORMED_FILES, ids=_ids(MALFORMED_FILES))
+def test_malformed_graph_and_poset_files_keep_their_messages(reader, text, message):
+    _assert_parse_error(reader, text, message)
+
+
+@pytest.mark.parametrize(
+    "reader, text, message", EDGE_COUNT_AND_TRAILER_FILES, ids=_ids(EDGE_COUNT_AND_TRAILER_FILES)
+)
+def test_edge_count_and_trailer_lines_are_checked(reader, text, message):
+    _assert_parse_error(reader, text, message)
+
+
+def test_trailer_lines_after_the_graph_are_read_past():
+    g = parse_graph_file(TWO + "e 1 2\nmodulus 5\nprovenance {}\n\n# end\n")
+    assert g.edges == frozenset({(1, 2)})
+    g = parse_graph_file(TWO + "e 1 2\nprovenance {}\n")
+    assert g.edges == frozenset({(1, 2)})
 
 
 def test_bipartition_validation():

@@ -202,6 +202,39 @@ def test_instance_file_roundtrip():
     assert format_instance_file(again) == text
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("\nv 1 1\n", "\nv 1 1\nv 1 1\n", "line 4: duplicate vertex 1"),
+        ("\nv 1 1\n", "\nv 1\n", "line 3: expected 'v <id> <weight>'"),
+        ("\nv 1 1\n", "\nv 1 y\n", "bad weight 'y'"),
+        ("\nv 1 1\n", "\nv 1 X9\n", "instance vertex 1 has weight X9, not 1"),
+        ("\nmodulus ", "\nmodulus 5\nmodulus ", "line {p}: duplicate 'modulus' line"),
+        ("\nprovenance ", "\nprovenance {}\ne 0 0\nprovenance ", "line {after}: 'e' line after the trailer"),
+        ("\nprovenance {", "\nprovenance {]", "line {p}: bad provenance JSON"),
+        ("\nmodulus 72057594037927937\n", "\nmodulus 1\n", "modulus must be at least 2"),
+        ("\nmodulus 7", "\nmodulus x7", "line {m}: expected integers, got 'x72057594037927937'"),
+    ],
+    ids=["duplicate-vertex", "missing-weight", "bad-weight", "symbolic-weight", "two-moduli",
+         "line-after-trailer", "bad-provenance", "small-modulus", "bad-modulus"],
+)
+def test_instance_file_is_read_as_a_graph_file(old, new, message):
+    text = format_instance_file(emit_instance([[1, 1], [1, 1]]))
+    m = text.count("\n") - 1  # the modulus line; provenance follows it
+    assert old in text
+    with pytest.raises(ParseError) as exc:
+        parse_instance_file(text.replace(old, new, 1))
+    assert str(exc.value) == message.format(m=m, p=m + 1, after=m + 2)
+
+
+def test_instance_file_needs_a_modulus():
+    text = format_instance_file(emit_instance([[1]]))
+    head = text[: text.index("modulus ")]
+    with pytest.raises(ParseError, match="instance needs a 'modulus' line"):
+        parse_instance_file(head)
+    assert parse_instance_file(text[: text.index("provenance ")]).provenance == {}
+
+
 def test_instance_file_caps_ids_but_not_the_modulus():
     text = format_instance_file(emit_instance([[1, 1], [1, 1]]))
     long = "9" * 400_000
