@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=None)
@@ -57,13 +57,9 @@ def factor_table(scope, table, bases, full: int) -> int:
     return ~mask & full if few_zeros else mask
 
 
-def table_bits(table: int, t: int) -> np.ndarray:
-    """The 2**t entries of a table over t variables, as a 0/1 uint8 array."""
-    nbytes = max(1, ((1 << t) + 7) >> 3)
-    return np.unpackbits(
-        np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )[: 1 << t]
+def table_bits(table: int, t: int) -> list[int]:
+    """The 2**t entries of a table over t variables, as a list of 0/1 ints."""
+    return list(format(table, f"0{1 << t}b")[::-1].encode().translate(_BITS))
 
 
 def iter_bits(mask: int):

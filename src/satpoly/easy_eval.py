@@ -31,8 +31,6 @@ from math import prod
 from operator import itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from ._bits import balanced_product
 from .errors import SatPolyError
 from .formulas import Formula
@@ -69,6 +67,7 @@ def _parity_roots(n: int, u: np.ndarray, v: np.ndarray, p: np.ndarray):
     and a round past that bound is a fault.  The parities are only carried
     here; the caller checks the links.
     """
+    import numpy as np
     parent = np.arange(n, dtype=u.dtype)
     par = np.zeros(n, dtype=np.int8)  # x_w = x_parent[w] xor par[w]
     for _ in range(2 * n.bit_length() + 1):
@@ -106,6 +105,8 @@ def easy_factor(f: Formula) -> FactoredPoly:
         cls = classify(list(rels))
         if not cls.is_easy:
             raise SatPolyError(f"relation set is not easy (witness: {cls.witness})")
+
+    import numpy as np  # here, so that CLI calls which never factor skip its import
 
     n = f.num_vars
     idx = np.int32 if n < 1 << 30 else np.int64  # 2 * n + 1 fits

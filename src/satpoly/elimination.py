@@ -151,7 +151,7 @@ def weighted_count(
             mask = full
             for scope, table in bucket:
                 mask &= factor_table(scope, table, bases, full)
-            prod = table_bits(mask, k).tolist()
+            prod = table_bits(mask, k)
         for scope, table in inbox:
             idx = _spread_index(scope, joint)
             if prod is None:
@@ -377,7 +377,7 @@ def _solve_parity(factors: list[Factor], w: dict) -> Optional[list[Factor]]:
         for u in rows.keys() & set(scope):
             m, c = rows[u]
             bases[u] = reduce(xor, map(bases.get, iter_bits(m ^ 1 << u)), full * c)
-        solved.append((joint, table_bits(factor_table(scope, table, bases, full), k).tolist()))
+        solved.append((joint, table_bits(factor_table(scope, table, bases, full), k)))
     for p in rows.keys() - set(kept):
         w[p] = (w[p][0], 0)
     return solved

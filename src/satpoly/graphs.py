@@ -402,6 +402,7 @@ def read_weighted_file(text: str, header: str, pair: str, nouns, build, trailer=
     weights: dict[int, Weight] = {}
     pairs: list[Edge] = []
     found: dict[str, tuple[int, list[str]]] = {}
+    parsed: dict[str, Weight] = {}  # a reduction instance repeats the token 1
     allowed = trailer
     for lineno, parts in input_lines(text):
         word = parts[0]
@@ -422,7 +423,8 @@ def read_weighted_file(text: str, header: str, pair: str, nouns, build, trailer=
             (vid,) = parse_ints(parts[1:2], lineno)
             if vid in weights:
                 raise ParseError(f"line {lineno}: duplicate {item} {vid}")
-            weights[vid] = parse_weight(parts[2])
+            w = parsed.get(parts[2])
+            weights[vid] = parsed[parts[2]] = parse_weight(parts[2]) if w is None else w
         elif word == tag:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected {pair!r}")

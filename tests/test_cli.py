@@ -2,10 +2,13 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import satpoly.cli as cli
 import satpoly.formulas as formulas_mod
+import satpoly.verify as verify_mod
 from satpoly.errors import ParseError, parse_rational
 from satpoly.formulas import Formula
 from satpoly.graphs import Var, parse_graph_file
@@ -527,14 +531,14 @@ def test_verify_exit_codes(monkeypatch, capsys):
     def fake_run_all(seed):
         return [CheckResult("stub", True, "ok", 0.0, 1.0, True)]
 
-    monkeypatch.setattr(cli, "run_all", fake_run_all)
+    monkeypatch.setattr(verify_mod, "run_all", fake_run_all)
     code, out = run_cli(capsys, "verify")
     assert code == 0 and json.loads(out)["passed"] is True
 
     def fake_run_all_fail(seed):
         return [CheckResult("stub", False, "boom", 0.0, 1.0, True)]
 
-    monkeypatch.setattr(cli, "run_all", fake_run_all_fail)
+    monkeypatch.setattr(verify_mod, "run_all", fake_run_all_fail)
     code, out = run_cli(capsys, "verify")
     assert code == 4 and json.loads(out)["passed"] is False
 
@@ -543,12 +547,95 @@ def test_verify_reports_seconds_and_budget(monkeypatch, capsys):
     from satpoly.verify import ALL_CHECKS, run_all
 
     quick = [c for c in ALL_CHECKS if c.name == "01-dichotomy-catalog"]
-    monkeypatch.setattr(cli, "run_all", lambda seed: run_all(seed, quick))
+    monkeypatch.setattr(verify_mod, "run_all", lambda seed: run_all(seed, quick))
     code, out = run_cli(capsys, "verify")
     (row,) = json.loads(out)["checks"]
     assert code == 0 and row["name"] == "01-dichotomy-catalog"
     assert row["budget_seconds"] == quick[0].budget_seconds
     assert 0 <= row["seconds"] <= row["budget_seconds"]
+
+
+@pytest.mark.parametrize("argv, seed", [([], 271828), (["--seed", "5"], 5)], ids=["default", "given"])
+def test_verify_reports_its_seed(monkeypatch, capsys, argv, seed):
+    seeds = []
+    monkeypatch.setattr(verify_mod, "run_all", lambda seed: seeds.append(seed) or [])
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 0 and seeds == [seed] and json.loads(out)["seed"] == seed
+    assert verify_mod.DEFAULT_SEED == 271828
+
+
+IMPORT_GUARD = """\
+import importlib.util, json, sys
+import satpoly.cli as cli
+from perfbench.tracing import TRACED
+
+class QuickVerify:
+    # keeps one check of the suite once satpoly.verify is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name != "satpoly.verify":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        exec_module = spec.loader.exec_module
+        def trimmed(module):
+            exec_module(module)
+            module.ALL_CHECKS[:] = [c for c in module.ALL_CHECKS if c.name == "01-dichotomy-catalog"]
+        spec.loader.exec_module = trimmed
+        return spec
+
+def loaded():
+    return {m: m in sys.modules for m in
+            ("numpy", "satpoly.verify", "satpoly.generators", "satpoly.affine")}
+
+report = {"import": loaded(),
+          "traced_missing": [m for m, _ in TRACED if "satpoly." + m not in sys.modules]}
+sys.meta_path.insert(0, QuickVerify())
+for name, argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        raise SystemExit(f"{name} failed")
+    report[name] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_cli_loads_numpy_and_verify_only_where_used(tmp_path):
+    # each CLI call is a fresh process that pays for every module it imports:
+    # numpy only when an easy formula is factored, verify only for `verify`
+    rels = write(tmp_path, "rels.txt", EASY_RELS)
+    hard = write(tmp_path, "hard.csp", "p csp 3 2\nOR0 1 2\nOR0 2 3\n")
+    easy = write(tmp_path, "easy.csp", "p csp 3 2\nEQ 1 2\nNE 2 3\n")
+    graph = write(tmp_path, "g.txt", "p graph 2 1\nv 1 1\nv 2 1\ne 1 2\n")
+    poset = write(tmp_path, "p.txt", POSET)
+    matrix = write(tmp_path, "m.txt", "1 1\n1 1\n")
+    blocks = write(tmp_path, "blocks.txt",
+                   "relation clause3 3\n001\n010\n011\n100\n101\n110\n111\nend\n"
+                   "relation zero 1\n0\nend\n")
+    calls = [
+        ("classify", ["classify", "--relations", rels]),
+        ("count sat", ["count", "sat", "--formula", hard]),
+        ("count vc", ["count", "vc", "--graph", graph]),
+        ("count is", ["count", "is", "--graph", graph]),
+        ("count ideals", ["count", "ideals", "--poset", poset]),
+        ("poly", ["poly", "--formula", hard]),
+        ("hard eval", ["eval", "--formula", hard, "--point", "1,2,3"]),
+        ("reduce perm-to-vc", ["reduce", "perm-to-vc", "--matrix", matrix, "--count"]),
+        ("reduce vc-to-2sat", ["reduce", "vc-to-2sat", "--graph", graph]),
+        ("implement", ["implement", "--target", "OR0", "--using", blocks]),
+        ("easy eval", ["eval", "--formula", easy, "--point", "1,2,3"]),
+        ("verify", ["verify"]),
+    ]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(calls)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report.pop("traced_missing") == []
+    none = {"numpy": False, "satpoly.verify": False, "satpoly.generators": False,
+            "satpoly.affine": False}
+    assert report.pop("verify") == {name: True for name in none}
+    assert report.pop("easy eval") == {**none, "numpy": True}
+    assert report == {name: none for name in ["import", *(name for name, _ in calls[:-2])]}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from satpoly.graphs import (
     incidence_transform,
     ip,
     parse_graph_file,
+    parse_weight,
     partial_permanent,
     permanent,
     two_coloring,
@@ -323,6 +324,18 @@ def test_malformed_graph_and_poset_files_keep_their_messages(reader, text, messa
 )
 def test_edge_count_and_trailer_lines_are_checked(reader, text, message):
     _assert_parse_error(reader, text, message)
+
+
+@pytest.mark.parametrize("reader", ["graph", "poset"])
+def test_repeated_weight_tokens_read_as_each_alone(reader):
+    # the reader parses each distinct weight token once and reuses the value
+    tokens = ["1", "X1", "1", "-1/2", "X1", "0", "0", "2/4", "-1/2", "1"]
+    head = f"p graph {len(tokens)} 0\n" if reader == "graph" else f"p poset {len(tokens)}\n"
+    text = head + "".join(f"v {i} {tok}\n" for i, tok in enumerate(tokens))
+    got = READERS[reader](text)
+    weights = got.vertices if reader == "graph" else got.elements
+    assert [weights[i] for i in range(len(tokens))] == [parse_weight(tok) for tok in tokens]
+    _assert_parse_error(reader, text.replace("v 9 1", "v 9 1/0"), "bad weight '1/0'")
 
 
 def test_trailer_lines_after_the_graph_are_read_past():
