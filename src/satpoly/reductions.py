@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .elimination import count
-from .errors import ParseError, SatPolyError, check_int_chars, input_lines
+from .errors import BoundExceeded, ParseError, SatPolyError, check_int_chars, input_lines
 from .formulas import Formula
 from .graphs import (
     WeightedGraph,
@@ -53,6 +53,11 @@ from .graphs import (
 )
 from .posets import Poset
 from .relations import BUILTIN_RELATIONS
+
+# Line cap of format_instance_file, which builds the whole file in memory at
+# about 26-31 bytes per line: the 5x5 all-ones instance has 1.7 M lines, the
+# 4x4 bipartite one 13.4 M and the 5x5 bipartite one 53 M.
+MAX_INSTANCE_LINES = 1 << 24
 
 
 class UnweightedGraph:
@@ -429,6 +434,28 @@ def ideal_to_implicative2sat(p: Poset) -> Formula:
 # Instance and matrix file formats
 
 
+# The three-digit tails of the ids in one run of 1,000.
+_ID_TAILS = tuple(f"{i:03d}" for i in range(1000))
+
+
+def _id_lines(prefix: str, lo: int, hi: int, suffix: str) -> str:
+    """The lines f"{prefix}{i}{suffix}" for i in range(lo, hi), each ending in a newline.
+
+    An id of 1,000 or more is the decimal of i // 1000 followed by a
+    three-digit tail, so each run of ids sharing i // 1000 is one join of
+    the precomputed tails; ids below 1,000 are written one by one.
+    """
+    if hi <= lo:
+        return ""
+    parts = [f"{prefix}{i}{suffix}\n" for i in range(lo, min(hi, 1000))]
+    end = suffix + "\n"
+    for b in range(max(lo, 1000) // 1000, (hi + 999) // 1000):
+        head = f"{prefix}{b}"
+        a, z = max(lo - 1000 * b, 0), min(hi - 1000 * b, 1000)
+        parts.append(head + (end + head).join(_ID_TAILS[a:z]) + end)
+    return "".join(parts)
+
+
 def format_instance_file(inst: ReductionInstance) -> str:
     """Write the instance with every leaf block as plain vertices and edges.
 
@@ -436,35 +463,40 @@ def format_instance_file(inst: ReductionInstance) -> str:
     block in sorted core order, as `UnweightedGraph.expand` numbers them.
     Lines come out in sorted order without building the expanded graph:
     the core vertices, then the leaf range; per core vertex u, its loop,
-    its core edges to larger ids, then its leaf block.
+    its core edges to larger ids, then its leaf block.  An instance of
+    more than MAX_INSTANCE_LINES lines raises BoundExceeded before any is
+    written.
     """
     g = inst.graph
+    total = g.vertex_count() + g.edge_count() + 3
+    if total > MAX_INSTANCE_LINES:
+        raise BoundExceeded(
+            f"instance file of {total} lines (at most {MAX_INSTANCE_LINES})"
+        )
     core = sorted(g.vertices)
     leaves = sum(g.leaf_counts.values())
     next_leaf = core[-1] + 1 if core else 0
     above: dict[int, list[int]] = {u: [] for u in core}
     for u, v in g.edges:
         above[u].append(v)
-    lines = [f"p graph {len(core) + leaves} {len(g.edges) + len(g.loops) + leaves}"]
-    lines.extend(f"v {v} 1" for v in core)
-    if leaves:
-        ids = range(next_leaf, next_leaf + leaves)
-        lines.append("v " + " 1\nv ".join(map(str, ids)) + " 1")
+    parts = [f"p graph {len(core) + leaves} {len(g.edges) + len(g.loops) + leaves}\n"]
+    parts.extend(f"v {v} 1\n" for v in core)
+    parts.append(_id_lines("v ", next_leaf, next_leaf + leaves, " 1"))
     for u in core:
         if u in g.loops:
-            lines.append(f"e {u} {u}")
-        lines.extend(f"e {u} {v}" for v in sorted(above[u]))
+            parts.append(f"e {u} {u}\n")
+        parts.extend(f"e {u} {v}\n" for v in sorted(above[u]))
         k = g.leaf_counts.get(u, 0)
         if k:
-            prefix = f"e {u} "
-            ids = range(next_leaf, next_leaf + k)
-            lines.append(prefix + ("\n" + prefix).join(map(str, ids)))
+            parts.append(_id_lines(f"e {u} ", next_leaf, next_leaf + k, ""))
             next_leaf += k
-    lines.append(f"modulus {inst.modulus}")
-    lines.append(
-        "provenance " + json.dumps(inst.provenance, sort_keys=True, separators=(",", ":"))
+    parts.append(f"modulus {inst.modulus}\n")
+    parts.append(
+        "provenance "
+        + json.dumps(inst.provenance, sort_keys=True, separators=(",", ":"))
+        + "\n"
     )
-    return "\n".join(lines) + "\n"
+    return "".join(parts)
 
 
 def parse_instance_file(text: str) -> ReductionInstance:

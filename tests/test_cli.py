@@ -467,6 +467,20 @@ def test_implement_past_the_atom_bound_exits_3(tmp_path, capsys):
     )
 
 
+def test_reduce_out_past_the_line_bound_exits_3(tmp_path, capsys):
+    # the 5x5 all-ones bipartite instance would be 53 M lines; nothing is
+    # rendered, printed or written
+    matrix = write(tmp_path, "m.txt", "1 1 1 1 1\n" * 5)
+    out_path = tmp_path / "inst.txt"
+    start = time.perf_counter()
+    code, out, err = run_cli_err(
+        capsys, "reduce", "perm-to-vc", "--matrix", matrix, "--bipartite", "--out", str(out_path)
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == "" and not out_path.exists()
+    assert err.count("\n") == 1 and err.startswith("bound exceeded: instance file of ")
+
+
 @pytest.mark.parametrize(
     "argv, name, text",
     [

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpoly._bits import balanced_product
-from satpoly.errors import ParseError, SatPolyError
+from satpoly.errors import BoundExceeded, ParseError, SatPolyError
 from satpoly.formulas import count_sat
 from satpoly import generators as gen
 from satpoly.graphs import (
@@ -29,6 +30,7 @@ from satpoly.posets import poset
 from satpoly.reductions import (
     ReductionInstance,
     UnweightedGraph,
+    _id_lines,
     brute_count_vertex_covers,
     count_vertex_covers,
     cover_count_bits,
@@ -48,6 +50,7 @@ from satpoly.reductions import (
     vc_to_positive2sat,
 )
 import satpoly.elimination as elimination_mod
+import satpoly.reductions as reductions_mod
 import reference_paths as reference
 
 F = Fraction
@@ -268,6 +271,14 @@ INSTANCE_MATRICES = {
     "tri3": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
     "id3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     "ones3": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "ones4": [[1] * 4 for _ in range(4)],
+    "m5x15": [
+        [1, 1, 0, 1, 0],
+        [0, 1, 1, 0, 1],
+        [1, 0, 1, 1, 0],
+        [0, 1, 0, 1, 1],
+        [1, 0, 1, 0, 1],
+    ],
 }
 INSTANCE_DIGESTS = {
     ("1", False): "63ebe325b6aba823c6a7c4bb28f59f86f698edb06f80eb4b200e504fbf05aa93",
@@ -284,6 +295,11 @@ INSTANCE_DIGESTS = {
     ("tri3", True): "e745b37e73987bb47f87b59228f3990e527543488041fb85af3605ffbb498094",
     ("id3", False): "68106599beeb30b6ea95a0c583e7965bc151586a284f12ffd4710c569fdfe93e",
     ("ones3", False): "ccd55087e8b8dc522fdb10d97f6f83c67f970f68a115ce772a22d0d95a0ed362",
+    # recorded at commit 3a2ca88, before leaf ids were written 1,000 per
+    # join: instances the size the benchmark writes, 5-27 MB each
+    ("ones3", True): "f54a54c13bbac94164c961b6e6c147931847f18fcb150d3de7e142d031427e7a",
+    ("ones4", False): "3f90199aa6c66ee15f51b5c3fbf513d3427b1244a2fb111b420bd0d1e2571d22",
+    ("m5x15", False): "bcfc74a725115513cb0e5d6d33d067f88eccc662425cb733422157d0d263336f",
 }
 
 
@@ -468,10 +484,42 @@ def test_writer_matches_expanding_writer_edge_cases():
         UnweightedGraph([-5, 2, 9], [(-5, 9), (2, 9)]),
         UnweightedGraph([-5, 2, 9], [(-5, 9)], [2], {-5: 0, 2: 0, 9: 0}),
         UnweightedGraph([-1, 4, 7], [(-1, 4), (4, 7)], [4], {7: 2, -1: 3, 4: 0}),
+        # leaf blocks that cross multiples of 1,000 and of 10,000
+        UnweightedGraph([997, 998, 999], [(997, 999)], [998], {997: 1500, 998: 2500, 999: 2000}),
+        UnweightedGraph([-2, 9998], [(-2, 9998)], [9998], {-2: 1500, 9998: 2500}),
     ]
     for g in cases:
         inst = _instance(g)
         assert format_instance_file(inst) == _expanding_format_instance_file(inst)
+
+
+@given(
+    st.sampled_from([-50, 0, 999, 1000, 9999, 10_000, 999_999, 10**6]),
+    st.integers(-1100, 1100),
+    st.integers(0, 3000),
+    st.sampled_from(["v ", "e 7 ", "e -3 "]),
+    st.sampled_from(["", " 1"]),
+)
+def test_id_lines_matches_one_line_per_id(center, offset, span, prefix, suffix):
+    lo = center + offset
+    want = "".join(f"{prefix}{i}{suffix}\n" for i in range(lo, lo + span))
+    assert _id_lines(prefix, lo, lo + span, suffix) == want
+
+
+def test_instance_file_line_bound():
+    g = UnweightedGraph([0], [], leaf_counts={0: 1 << 24})
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="at most 16777216"):
+        format_instance_file(ReductionInstance(g, 3, {}))
+    assert time.perf_counter() - start < 0.1
+    # the bound counts every line: header, v and e lines, modulus, provenance
+    inst = _instance(UnweightedGraph([0, 1], [(0, 1)], [1], {0: 2}))
+    lines = len(format_instance_file(inst).splitlines())
+    with mock.patch.object(reductions_mod, "MAX_INSTANCE_LINES", lines):
+        format_instance_file(inst)
+    with mock.patch.object(reductions_mod, "MAX_INSTANCE_LINES", lines - 1):
+        with pytest.raises(BoundExceeded):
+            format_instance_file(inst)
 
 
 @pytest.mark.parametrize("bipartite", [False, True])
