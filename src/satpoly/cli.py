@@ -71,11 +71,9 @@ def _parse_point(text: str, n: int) -> list[Fraction]:
     if len(toks) != n:
         raise ParseError(f"point has {len(toks)} coordinates, formula has {n} variables")
     parsed = dict.fromkeys(toks)  # first-appearance order, so the first bad token is reported
-    # only parse_rational refuses exponent notation; text with no e or E skips its check
-    read = parse_rational if "e" in text or "E" in text else Fraction
     try:
-        for t in parsed:
-            parsed[t] = read(t)
+        for t in parsed:  # refuses overlong tokens and exponent notation before Fraction()
+            parsed[t] = parse_rational(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational in point: {exc}") from None
     return [parsed[t] for t in toks]

@@ -11,7 +11,8 @@ which evaluates in near-linear time, far beyond the reach of enumeration.
 
 Factoring decomposes each distinct relation once and applies its local
 forcings and parity links to all of its constraints at once, as numpy
-arrays.  The components come from hook and compress in the style of
+arrays read straight from the formula's relation codes and flat argument
+array.  The components come from hook and compress in the style of
 Shiloach and Vishkin: rounds of pointer jumping and of hooking roots onto
 their smallest neighbouring root, with each variable's parity to its root
 carried along, so the rounds grow with log n, not with the number of
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import prod
-from operator import itemgetter
 from typing import Sequence
 
 from ._bits import balanced_product
@@ -110,24 +109,18 @@ def easy_factor(f: Formula) -> FactoredPoly:
 
     n = f.num_vars
     idx = np.int32 if n < 1 << 30 else np.int64  # 2 * n + 1 fits
-    # gather: one code per constraint for its relation object, and every
-    # argument in one flat array; constraint k's arguments start at start[k]
-    by_id = f._relations_by_id
-    code_of = dict(zip(by_id, range(len(by_id))))
-    cons_ids = map(id, map(itemgetter(0), f.constraints))
-    codes = np.fromiter(map(code_of.__getitem__, cons_ids), dtype=np.int32,
-                        count=len(f.constraints))
-    ranks = np.array([rel.rank for rel in by_id.values()], dtype=idx)[codes]
+    # constraint k applies f.relations[codes[k]] to the arguments from flat[start[k]] on
+    codes = np.frombuffer(f.codes, dtype=np.intc)
+    flat = np.frombuffer(f.args, dtype=np.int64).astype(idx)
+    ranks = np.array([rel.rank for rel in f.relations], dtype=idx)[codes]
     start = np.cumsum(ranks) - ranks
-    all_args = chain.from_iterable(map(itemgetter(1), f.constraints))
-    flat = np.fromiter(all_args, dtype=idx, count=int(ranks.sum()))
     del ranks
 
     # each relation's width-2 constraints (classify passed, so it has them)
     # applied to all of its rows at once: forcings ("const0"/"const1", i)
     # and parity links ("eq"/"ne", i, j)
     link_u, link_v, link_p, force_var, force_bit = [], [], [], [], []
-    for code, rel in enumerate(by_id.values()):
+    for code, rel in enumerate(f.relations):
         rows = start[codes == code]
         for c in _width2_expressible(rel):
             bit = np.full(len(rows), c[0] in ("const1", "ne"), dtype=np.int8)

@@ -46,13 +46,24 @@ def input_lines(text: str):
             yield lineno, tokens
 
 
+# Longest rational token the parsers read: a sign, then a numerator and a
+# denominator of MAX_INT_CHARS digits each around "/" (or the two sides of
+# a decimal point).  Fraction() of a longer decimal takes time quadratic in
+# its length once the int-str limit is lifted: 400,000 digits take a second.
+MAX_RATIONAL_CHARS = 2 * MAX_INT_CHARS + 2
+
+
 def parse_rational(tok: str) -> Fraction:
-    """Fraction(tok), with exponent notation refused as a ParseError.
+    """Fraction(tok), with overlong tokens and exponent notation refused as a ParseError.
 
     Fraction("1e1000000") builds 10**1000000 in full, and each further
     exponent digit costs ten times more; no other syntax Fraction reads
     contains e or E.
     """
+    if len(tok) > MAX_RATIONAL_CHARS:
+        raise ParseError(
+            f"rational token of {len(tok)} characters (at most {MAX_RATIONAL_CHARS})"
+        )
     if "e" in tok or "E" in tok:
         raise ParseError(f"exponent notation is not accepted: {tok!r}")
     return Fraction(tok)

@@ -19,10 +19,11 @@ can compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from array import array
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress, islice, repeat
+from operator import sub
 from typing import Optional, Sequence
 
 from .elimination import constraint_factor, count
@@ -36,38 +37,76 @@ MAX_POLY_TERMS = 1 << 20  # poly_of_formula's output has one term per model
 Constraint = tuple[Relation, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+def _index_array(values: list[int]) -> array | list[int]:
+    """Variable indices as one array of 64-bit ints, or the list itself past that range."""
+    try:
+        return array("q", values)
+    except OverflowError:  # only a formula of 2**63 or more variables gets here
+        return values
+
+
 class Formula:
     """A conjunction of relation applications; variables are 0-based indices.
 
     Repeated variables inside one application are legal and mean the
     relation restricted to the corresponding diagonal.
+
+    A formula is stored as arrays: `relations` holds the distinct relation
+    objects in first-seen order, `codes[k]` is the index in `relations` of
+    constraint k's relation, and `args` holds the arguments of every
+    constraint, one constraint after another.  The tuple view
+    `constraints`, one (relation, argument tuple) per constraint, is built
+    on first use.  Equality and hashing are those of (num_vars, constraints).
     """
 
     num_vars: int
-    constraints: tuple[Constraint, ...]
+    relations: tuple[Relation, ...]
+    codes: array  # of C ints
+    args: array | list[int]
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, constraints: tuple[Constraint, ...]):
+        if num_vars < 1:
             raise ValueError("a formula needs at least one variable")
-        for rel, args in self.constraints:
+        code_of: dict[int, int] = {}  # id(relation) -> code
+        relations: list[Relation] = []
+        codes: list[int] = []
+        flat: list[int] = []
+        for rel, args in constraints:
             if len(args) != rel.rank:
                 raise ValueError(
                     f"{rel.name} has rank {rel.rank} but got {len(args)} arguments"
                 )
             for a in args:
-                if not 0 <= a < self.num_vars:
-                    raise ValueError(f"argument {a} out of range [0, {self.num_vars})")
+                if not 0 <= a < num_vars:
+                    raise ValueError(f"argument {a} out of range [0, {num_vars})")
+            code = code_of.get(id(rel))
+            if code is None:
+                code = code_of[id(rel)] = len(relations)
+                relations.append(rel)
+            codes.append(code)
+            flat.extend(args)
+        self._store(num_vars, tuple(relations), array("i", codes), _index_array(flat))
+        self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def _of_arrays(cls, num_vars: int, relations: tuple[Relation, ...], codes: array,
+                   args: array | list[int]) -> Formula:
+        """A formula of arrays whose ranks and ranges the caller has checked."""
+        f = object.__new__(cls)
+        f._store(num_vars, relations, codes, args)
+        return f
+
+    def _store(self, num_vars, relations, codes, args) -> None:
+        self.__dict__.update(num_vars=num_vars, relations=relations, codes=codes, args=args)
+
+    def __setattr__(self, name, value):  # frozen: equal formulas keep equal hashes
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
-    def _relations_by_id(self) -> dict[int, Relation]:
-        """The distinct relation objects the constraints apply, keyed by id(), first-seen order.
-
-        A parsed formula shares one Relation object per name, and hashing the
-        dataclass per constraint would cost more than the id() lookups.
-        """
-        rels = list(map(itemgetter(0), self.constraints))
-        return dict(zip(map(id, rels), rels))
+    def constraints(self) -> tuple[Constraint, ...]:
+        args = iter(self.args)
+        return tuple((rel, tuple(islice(args, rel.rank)))
+                     for rel in map(self.relations.__getitem__, self.codes))
 
     @cached_property
     def relation_set(self) -> tuple[Relation, ...]:
@@ -75,15 +114,18 @@ class Formula:
 
         Of equal relations the first-seen object is kept.
         """
-        return tuple(dict.fromkeys(self._relations_by_id.values()))
+        return tuple(dict.fromkeys(self.relations))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_vars, self.constraints) == (other.num_vars, other.constraints)
 
-def _checked_formula(num_vars: int, constraints: tuple[Constraint, ...]) -> Formula:
-    """A Formula built without __post_init__'s checks, for a caller that made them."""
-    f = object.__new__(Formula)
-    for fld, value in zip(fields(Formula), (num_vars, constraints)):
-        object.__setattr__(f, fld.name, value)
-    return f
+    def __hash__(self):
+        return hash((self.num_vars, self.constraints))
+
+    def __repr__(self):
+        return f"Formula(num_vars={self.num_vars!r}, constraints={self.constraints!r})"
 
 
 def formula(num_vars: int, constraints) -> Formula:
@@ -185,13 +227,105 @@ def eval_formula_poly(f: Formula, point: Sequence) -> Fraction:
 # Formula file format:
 #   p csp <num_vars> <num_constraints>
 #   <relation-name> <i1> ... <ik>     (1-based variable indices)
+#
+# A canonically spaced file is read in whole-text passes.  Every other
+# file, and every file those passes doubt, is read line by line, and only
+# the line loop raises ParseError, so both give the same formula and the
+# same messages.
 
 
 def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = None) -> Formula:
+    f = _parse_canonical(text, relations)
+    return f if f is not None else _parse_lines(text, relations)
+
+
+# what a canonical file never holds: a comment, whitespace other than one
+# space between tokens and one newline after each line, or a blank line
+_NOT_CANONICAL = ("#", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+                  "  ", " \n", "\n ", "\n\n")
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_CHUNK_CHARS = 1 << 16  # constraint text split at once: bounds the tokens alive
+
+
+def _parse_canonical(text: str, relations: Optional[dict[str, Relation]]) -> Optional[Formula]:
+    """The formula of a canonically spaced ASCII file, or None on any doubt.
+
+    Such a file holds the header first and then one constraint per line,
+    and its only whitespace is one space between tokens and a newline
+    ending each line.  str.split() then lists every line's tokens in order,
+    and a line's space count is its argument count, checked against the
+    rank of the relation it names.  The constraint lines are read in
+    chunks of whole lines, so only one chunk's tokens are alive at a time.
+    A file the line loop refuses is never accepted here, and int() reads
+    every index as the loop reads it.
+    """
+    if (not text.isascii() or not text.endswith("\n")
+            or any(bad in text for bad in _NOT_CANONICAL)):
+        return None
+    header, _, body = text.partition("\n")
+    parts = header.split(" ")
+    if len(parts) != 4 or parts[:2] != ["p", "csp"] or len(header) > MAX_INT_CHARS:
+        return None
+    try:
+        num_vars, declared = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    if num_vars < 1:
+        return None
+    code_of: dict[str, int] = {}  # each relation name is resolved once
+    rels: list[Relation] = []
+    ranks: list[int] = []
+    codes = array("i")
+    args = array("q")
+    pos = 0
+    while pos < len(body):
+        end = body.find("\n", pos + _CHUNK_CHARS) + 1 or len(body)
+        chunk = body[pos:end]
+        pos = end
+        lines = chunk.split("\n")
+        lines.pop()  # the empty string after the chunk's last newline
+        if max(map(len, lines)) > MAX_INT_CHARS:  # so no token is longer either
+            return None
+        counts = list(map(str.count, lines, repeat(" ")))  # arguments per line
+        tokens = chunk.split()
+        # one byte per token: 0 for a line's relation name, 1 for each argument
+        pieces = {k: b"\0" + b"\1" * k for k in set(counts)}
+        is_arg = b"".join(map(pieces.__getitem__, counts))
+        if len(is_arg) != len(tokens):
+            return None
+        names = list(compress(tokens, is_arg.translate(_FLIP)))
+        for name in dict.fromkeys(names):
+            if name not in code_of:
+                if name == "p":  # a second header
+                    return None
+                try:
+                    rel = resolve_relation(name, relations)
+                except ParseError:
+                    return None
+                code_of[name] = len(rels)
+                rels.append(rel)
+                ranks.append(rel.rank)
+        chunk_codes = array("i", map(code_of.__getitem__, names))
+        if list(map(ranks.__getitem__, chunk_codes)) != counts:
+            return None
+        codes += chunk_codes
+        try:  # 0-based indices
+            args.extend(map(sub, map(int, compress(tokens, is_arg)), repeat(1)))
+        except (ValueError, OverflowError):
+            return None
+    if len(codes) != declared or args and (min(args) < 0 or max(args) >= num_vars):
+        return None
+    return Formula._of_arrays(num_vars, tuple(rels), codes, args)
+
+
+def _parse_lines(text: str, relations: Optional[dict[str, Relation]]) -> Formula:
+    """The formula of any file, read line by line; the one source of every ParseError."""
     num_vars = None
     declared = 0
-    constraints: list[Constraint] = []
-    resolved: dict[str, Relation] = {}  # each relation name is looked up once per file
+    code_of: dict[str, int] = {}  # each relation name is resolved once per file
+    rels: list[Relation] = []
+    codes: list[int] = []
+    flat: list[int] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -216,9 +350,11 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: constraint before header")
-        rel = resolved.get(name)
-        if rel is None:
-            rel = resolved[name] = resolve_relation(name, relations)
+        code = code_of.get(name)
+        if code is None:
+            code = code_of[name] = len(rels)
+            rels.append(resolve_relation(name, relations))
+        rel = rels[code]
         try:
             args = [int(tok) - 1 for tok in parts[1:]]
         except ValueError:
@@ -229,15 +365,14 @@ def parse_formula_file(text: str, relations: Optional[dict[str, Relation]] = Non
             )
         if min(args) < 0 or max(args) >= num_vars:
             raise ParseError(f"line {lineno}: variable index out of range")
-        constraints.append((rel, tuple(args)))
+        codes.append(code)
+        flat.extend(args)
     if num_vars is None:
         raise ParseError("missing 'p csp' header")
-    if len(constraints) != declared:
-        raise ParseError(
-            f"header declares {declared} constraints, found {len(constraints)}"
-        )
+    if len(codes) != declared:
+        raise ParseError(f"header declares {declared} constraints, found {len(codes)}")
     # every rank and range is checked above, with the line number
-    return _checked_formula(num_vars, tuple(constraints))
+    return Formula._of_arrays(num_vars, tuple(rels), array("i", codes), _index_array(flat))
 
 
 def format_formula_file(f: Formula) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import satpoly.cli as cli
 import satpoly.formulas as formulas_mod
 import satpoly.verify as verify_mod
-from satpoly.errors import ParseError, parse_rational
+from satpoly.errors import MAX_INT_CHARS, MAX_RATIONAL_CHARS, ParseError, parse_rational
 from satpoly.formulas import Formula
 from satpoly.graphs import Var, parse_graph_file
 from satpoly.implement import Implementation
@@ -604,8 +605,9 @@ def loaded():
 report = {"import": loaded(),
           "traced_missing": [m for m, _ in TRACED if "satpoly." + m not in sys.modules]}
 sys.meta_path.insert(0, QuickVerify())
+exits = json.loads(sys.argv[2])  # a call's expected exit code when it is not 0
 for name, argv in json.loads(sys.argv[1]):
-    if cli.main(argv) != 0:
+    if cli.main(argv) != exits.get(name, 0):
         raise SystemExit(f"{name} failed")
     report[name] = loaded()
 print(json.dumps(report))
@@ -614,9 +616,14 @@ print(json.dumps(report))
 
 def test_cli_loads_numpy_and_verify_only_where_used(tmp_path):
     # each CLI call is a fresh process that pays for every module it imports:
-    # numpy only when an easy formula is factored, verify only for `verify`
+    # numpy only when an easy formula is factored, verify only for `verify`.
+    # A canonical file of 10**4 variables takes the whole-text parse, and
+    # count sat and poly exit 3 at their variable cap, so the parse itself
+    # must not load numpy
     rels = write(tmp_path, "rels.txt", EASY_RELS)
     hard = write(tmp_path, "hard.csp", "p csp 3 2\nOR0 1 2\nOR0 2 3\n")
+    tree = write(tmp_path, "tree.csp", "p csp 10000 9999\n"
+                 + "".join(f"{('EQ', 'NE')[v % 2]} {v // 2} {v}\n" for v in range(2, 10_001)))
     easy = write(tmp_path, "easy.csp", "p csp 3 2\nEQ 1 2\nNE 2 3\n")
     graph = write(tmp_path, "g.txt", "p graph 2 1\nv 1 1\nv 2 1\ne 1 2\n")
     poset = write(tmp_path, "p.txt", POSET)
@@ -631,6 +638,8 @@ def test_cli_loads_numpy_and_verify_only_where_used(tmp_path):
         ("count is", ["count", "is", "--graph", graph]),
         ("count ideals", ["count", "ideals", "--poset", poset]),
         ("poly", ["poly", "--formula", hard]),
+        ("count sat, 10**4 variables", ["count", "sat", "--formula", tree]),
+        ("poly, 10**4 variables", ["poly", "--formula", tree]),
         ("hard eval", ["eval", "--formula", hard, "--point", "1,2,3"]),
         ("reduce perm-to-vc", ["reduce", "perm-to-vc", "--matrix", matrix, "--count"]),
         ("reduce vc-to-2sat", ["reduce", "vc-to-2sat", "--graph", graph]),
@@ -640,8 +649,9 @@ def test_cli_loads_numpy_and_verify_only_where_used(tmp_path):
     ]
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(calls)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    exits = {"count sat, 10**4 variables": 3, "poly, 10**4 variables": 3}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(calls), json.dumps(exits)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report.pop("traced_missing") == []
@@ -995,7 +1005,7 @@ def test_overlong_integer_token_is_rejected_before_conversion(tmp_path, capsys, 
 
 
 def test_long_point_coordinate_is_still_read(tmp_path, capsys):
-    # point coordinates stay uncapped: OR0(x1, x2) at (x, 1) is x + 1 + x
+    # a coordinate under MAX_RATIONAL_CHARS is read: OR0(x1, x2) at (x, 1) is x + 1 + x
     path = write(tmp_path, "f.csp", "p csp 2 1\nOR0 1 2\n")
     coord = "7" * 5000
     code, out = run_cli(capsys, "eval", "--formula", path, "--point", f"{coord},1")
@@ -1026,6 +1036,65 @@ def test_parse_rational_reads_what_fraction_reads_except_exponents(tok):
             Fraction(tok)
         return
     assert got == Fraction(tok)
+
+
+# decimal digit strings of 1 to MAX_INT_CHARS characters
+digit_runs = st.builds(lambda head, k, d: (head + d * k)[:MAX_INT_CHARS],
+                       st.text("0123456789", min_size=1, max_size=3),
+                       st.integers(0, MAX_INT_CHARS), st.sampled_from("0123456789"))
+
+bounded_rational_tokens = st.builds(
+    lambda sign, a, sep, b: sign + a + (sep + b if sep else ""),
+    st.sampled_from(["", "+", "-"]), digit_runs, st.sampled_from(["", "/", "."]), digit_runs,
+)
+
+
+@given(bounded_rational_tokens)
+def test_rational_tokens_under_the_bound_read_as_fraction_reads_them(tok):
+    assert len(tok) <= MAX_RATIONAL_CHARS
+    with lifted_int_str_limit():
+        try:
+            want = Fraction(tok)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                parse_rational(tok)
+            return
+        assert parse_rational(tok) == want
+    with pytest.raises(ParseError, match=f"rational token of {MAX_RATIONAL_CHARS + 1} characters"):
+        parse_rational(tok + "0" * (MAX_RATIONAL_CHARS + 1 - len(tok)))
+
+
+@contextlib.contextmanager
+def lifted_int_str_limit():
+    """No int-str limit, as cli.main sets it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval", "--point=" + "7" * 100_000 + ",1", "--formula"], "p csp 2 1\nOR0 1 2\n"),
+        (["count", "vc", "--graph"], "p graph 2 1\nv 1 " + "7" * 100_000 + "\nv 2 1\ne 1 2\n"),
+    ],
+    ids=["point", "graph-weight"],
+)
+def test_overlong_rational_token_is_a_parse_error(tmp_path, capsys, argv, text):
+    # Fraction() of a 10**5-digit decimal takes about 0.1 s and of 4 * 10**5
+    # digits about a second; the token is refused by its length first
+    path = write(tmp_path, "input.txt", text)
+    start = time.perf_counter()
+    code, out, err = run_cli_err(capsys, *argv, path)
+    assert time.perf_counter() - start < 1
+    assert_one_line_exit_2(code, out, err)
+    assert f"rational token of 100000 characters (at most {MAX_RATIONAL_CHARS})" in err
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satpoly.errors import BoundExceeded, ParseError
+from satpoly.errors import MAX_INT_CHARS, BoundExceeded, ParseError
 from satpoly import formulas as formulas_mod
 from satpoly.formulas import (
     Formula,
@@ -516,3 +516,205 @@ formula_lines = st.one_of(
 def test_formula_file_matches_reference_on_random_files(lines, with_table):
     text = "\n".join(["p csp 3 2", *lines]) + "\n"
     assert_parse_matches_reference(text, parse_relation_file(CUSTOM_RELS) if with_table else None)
+
+
+
+# ---------------------------------------------------------------------------
+# The whole-text pass over canonical files, against the reference line parser
+
+CANONICAL_RANKS = {"NE": 2, "EQ": 2, "T": 1, "F": 1, "OR0": 2, "CLAUSE3": 3, "xor3_1": 3,
+                   "xor02_0": 2, "pin1": 1}
+
+
+def index_token(draw, i):
+    """A 1-based index as int() reads it: plain, zero-padded, signed or with an underscore."""
+    text = str(i)
+    form = draw(st.sampled_from(["plain", "plain", "zero", "plus", "underscore"]))
+    if form == "zero":
+        return "0" + text
+    if form == "plus":
+        return "+" + text
+    if form == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    return text
+
+
+@st.composite
+def canonical_files(draw):
+    """(text, table): a canonically spaced formula file, and the relation table it may use."""
+    n = draw(st.integers(1, 40))
+    table = draw(st.sampled_from([None, parse_relation_file(CUSTOM_RELS)]))
+    names = sorted(CANONICAL_RANKS) if table else sorted(set(CANONICAL_RANKS) - {"pin1"})
+    lines = [f"p csp {n} {{m}}"]
+    for _ in range(draw(st.integers(0, 30))):
+        name = draw(st.sampled_from(names))
+        args = (index_token(draw, draw(st.integers(1, n))) for _ in range(CANONICAL_RANKS[name]))
+        lines.append(" ".join([name, *args]))
+    lines[0] = lines[0].format(m=len(lines) - 1)
+    return "".join(line + "\n" for line in lines), table
+
+
+@given(canonical_files(), st.sampled_from([1, 7, 64, formulas_mod._CHUNK_CHARS]))
+def test_canonical_files_take_the_whole_text_pass_and_match_the_reference(case, chunk):
+    text, table = case
+    with mock.patch.object(formulas_mod, "_CHUNK_CHARS", chunk), fail("_parse_lines"):
+        fast = parse_formula_file(text, table)
+    expected = reference.parse_formula_file(text, table)
+    assert (fast, fast.relation_set) == (expected, expected.relation_set)
+
+
+def move_newline(text, i):
+    """Move the line break at or after i past the next token: EQ 1 2 / NE 3 4 -> EQ 1 2 NE / 3 4."""
+    nl = text.find("\n", i)
+    space = text.find(" ", nl)
+    if nl < 0 or space < 0:
+        return text
+    return text[:nl] + " " + text[nl + 1:space] + "\n" + text[space + 1:]
+
+
+def move_argument(text, j):
+    """Move line j's last token past line j + 1's name: EQ 1 2 / NE 3 4 -> EQ 1 / NE 2 3 4."""
+    lines = text.split("\n")
+    if j + 2 >= len(lines):
+        return text
+    head, tail = lines[j].split(" "), lines[j + 1].split(" ")
+    if len(head) < 2:
+        return text
+    lines[j], lines[j + 1] = " ".join(head[:-1]), " ".join([tail[0], head[-1], *tail[1:]])
+    return "\n".join(lines)
+
+
+def recount(text, delta):
+    """The header's declared constraint count changed by delta."""
+    header, _, body = text.partition("\n")
+    *head, count = header.split(" ")
+    return " ".join([*head, str(int(count) + delta)]) + "\n" + body
+
+
+MUTATION_PIECES = [
+    "\t", "\r\n", "\x0c", "\x1c", "\x85", "\u2028",  # whitespace the loop splits on
+    "  ", " ", "\n", "\n\n", "#", "# comment\n",  # spacing, blank lines, comments
+    "+1", "01", "1_0", "\u0661", "9" * (MAX_INT_CHARS + 1),  # tokens int() reads or refuses
+    "p ", "p csp 3 1\n", "p 1 2\n", "NOPE ", "xor3_1 ", "xor99_1 ", "xor4_0 ", "NE ",  # names
+]
+
+
+def bounded_int(x, *base):
+    """int(), failing on a token longer than MAX_INT_CHARS: no parser may convert one."""
+    assert not isinstance(x, str) or len(x) <= MAX_INT_CHARS, len(x)
+    return int(x, *base)
+
+
+def bounded_ints():
+    return mock.patch.object(formulas_mod, "int", bounded_int, create=True)
+
+
+@st.composite
+def near_canonical_files(draw):
+    """(text, table): a canonical file with its count, spacing, tokens or line breaks mutated."""
+    text, table = draw(canonical_files())
+    text = recount(text, draw(st.sampled_from([0, 0, 0, -1, 1])))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "replace", "line-start", "line-end", "move-newline",
+                                   "move-argument"]))
+        i = draw(st.integers(0, len(text)))
+        if op == "move-newline":
+            text = move_newline(text, i)
+        elif op == "move-argument":
+            text = move_argument(text, text.count("\n", 0, i))
+        else:
+            if op in ("line-start", "line-end"):  # a piece at the start or end of a line
+                i = text.rfind("\n", 0, i) + 1 if op == "line-start" else max(text.find("\n", i), 0)
+            piece = draw(st.sampled_from(MUTATION_PIECES))
+            text = text[:i] + piece + text[i + (op == "replace"):]
+    return text, table
+
+
+@settings(max_examples=200)
+@given(near_canonical_files())
+def test_near_canonical_files_read_as_the_line_loop_and_the_reference_read_them(case):
+    text, table = case
+    with bounded_ints():
+        got = parse_outcome(parse_formula_file, text, table)
+    assert got == parse_outcome(formulas_mod._parse_lines, text, table)
+    if any(len(tok) > MAX_INT_CHARS for tok in text.split()):
+        # the reference predates the length bound; the loop refuses the token
+        assert got[0] == "error"
+    else:
+        assert got == parse_outcome(reference.parse_formula_file, text, table)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the tokens of two good lines, EQ 1 2 and NE 3 4
+        ("p csp 4 2\nEQ 1 2 NE\n3 4\n", "line 2: bad variable index"),
+        ("p csp 4 2\nEQ 1\nNE 2 3 4\n", "line 2: EQ has rank 2, got 1 arguments"),
+        # the table defines a relation p, yet every p line is a header
+        ("p csp 4 2\nEQ 1 2\np 3 4\n", "line 3: duplicate header"),
+        ("p csp 4 1\nEQ 1 2\nNE 3 4\n", "header declares 1 constraints, found 2"),
+        ("p csp 4 1\nEQ 1 \u0661\n", None),  # int() reads the Arabic-Indic digit one
+        ("p csp 4 1\nEQ 1 " + "9" * (MAX_INT_CHARS + 1) + "\n",
+         f"line 2: integer token of {MAX_INT_CHARS + 1} characters (at most {MAX_INT_CHARS})"),
+    ],
+    ids=["moved-newline", "moved-argument", "p-in-table", "declared-count", "non-ascii-digit",
+         "overlong-index"],
+)
+def test_the_whole_text_pass_leaves_each_doubtful_file_to_the_line_loop(text, message):
+    table = parse_relation_file("relation p 2\n01\n10\nend\n")
+    with bounded_ints():
+        assert formulas_mod._parse_canonical(text, table) is None
+        if message is None:
+            assert parse_formula_file(text, table).constraints == ((B["EQ"], (0, 0)),)
+        else:
+            with pytest.raises(ParseError) as exc:
+                parse_formula_file(text, table)
+            assert str(exc.value) == message
+
+
+def parity_tree_file(rng, n):
+    lines = [f"{rng.choice(['EQ', 'NE'])} {rng.randrange(v) + 1} {v + 1}" for v in range(1, n)]
+    return f"p csp {n} {n - 1}\n" + "\n".join(lines) + "\n"
+
+
+def test_a_canonical_tree_of_ten_thousand_variables_never_reaches_the_line_loop():
+    text = parity_tree_file(random.Random("tree/10000"), 10_000)
+    with fail("_parse_lines"):
+        f = parse_formula_file(text)
+    assert f == reference.parse_formula_file(text)
+    assert len(f.codes) == 9_999 and len(f.args) == 19_998
+
+
+@given(formulas(max_vars=12))
+def test_formulas_round_trip_through_constraints_and_files(f):
+    # the constructor's arrays give back its constraints, and a parsed
+    # formula equals and hashes as the tuple-built one it was written from
+    assert formulas_mod.Formula._of_arrays(f.num_vars, f.relations, f.codes, f.args) == f
+    assert Formula(f.num_vars, f.constraints) == f
+    parsed = parse_formula_file(format_formula_file(f))
+    assert "constraints" not in vars(parsed)  # built on first use
+    assert parsed == f and hash(parsed) == hash(f)
+    assert parsed.constraints == f.constraints and parsed.relation_set == f.relation_set
+    assert Formula(parsed.num_vars, parsed.constraints) == parsed
+
+
+def test_formula_arrays_hold_one_code_per_constraint_and_the_flat_arguments():
+    ne_copy = relation("NE", 2, B["NE"].accepted)  # equal to B["NE"], another object
+    f = Formula(4, ((B["NE"], (0, 1)), (B["T"], (3,)), (ne_copy, (2, 3)), (B["NE"], (1, 2))))
+    assert f.relations == (B["NE"], B["T"], ne_copy) and f.relations[2] is ne_copy
+    assert list(f.codes) == [0, 1, 2, 0]
+    assert list(f.args) == [0, 1, 3, 2, 3, 1, 2]
+    assert f.relation_set == (B["NE"], B["T"])
+    with pytest.raises(AttributeError):
+        f.num_vars = 5
+
+
+def test_indices_past_64_bits_are_kept_exactly():
+    # past int64 the arguments stay a list; count_sat stops at its cap
+    # before it reads a constraint
+    n = 10**20
+    f = parse_formula_file(f"p csp {n} 1\nNE 1 {n}\n")
+    assert f.constraints == ((B["NE"], (0, n - 1)),)
+    assert f == Formula(n, ((B["NE"], (0, n - 1)),))
+    with pytest.raises(BoundExceeded):
+        count_sat(f)
